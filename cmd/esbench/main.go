@@ -15,6 +15,10 @@
 //	esbench [-quick] [-time 1s] [-out FILE] [-engines lockstep,batched,async,parallel]
 //	        [-compare BASELINE.json] [-threshold 15] [-trend DIR]
 //
+// -engines defaults to all four engines. The farm/warm-branch row runs
+// on the default engine (async), the one every tool runs when no
+// -engine is named.
+//
 // -quick runs every benchmark for a single iteration (the CI smoke
 // mode); otherwise each benchmark repeats until -time has elapsed.
 //
@@ -161,7 +165,7 @@ func measureWarmBranch(minTime time.Duration) Result {
 		nSeeds    = 8
 	)
 	spec := scenario.MustNamed("engines/steady-state")
-	rc := experiments.RunConfig{Jobs: 1, Engine: machine.EngineBatched}
+	rc := experiments.RunConfig{Jobs: 1}
 	seeds := make([]uint64, nSeeds)
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)

@@ -13,6 +13,11 @@
 // object, one row per seed in seed order, and an error object only on
 // failure. The daemon caches warm images by (scenario, engine,
 // warm-up) content, so repeated sweeps skip the warm-up entirely.
+//
+// -engine defaults to async, and submit and direct always send the
+// engine they run. A request body with no "engine" field still runs
+// batched: the response header names the engine, so changing the wire
+// default would change the bytes served for an existing request.
 package main
 
 import (
@@ -63,7 +68,10 @@ func usage() {
   esfarmd submit -addr URL (-scenario NAME | -spec FILE) [-engine E] [-warmup MS] [-measure MS] -seeds LIST
   esfarmd direct (-scenario NAME | -spec FILE) [-engine E] [-j N] [-warmup MS] [-measure MS] -seeds LIST
   esfarmd scenarios [-addr URL]
-seed LIST is comma-separated values and inclusive ranges, e.g. 1,5,10-20`)
+seed LIST is comma-separated values and inclusive ranges, e.g. 1,5,10-20
+-engine E defaults to async; submit and direct always send it. A request
+body with no "engine" field still runs batched: the response header names
+the engine, so a new wire default would change existing responses.`)
 }
 
 func serve(args []string) error {

@@ -7,9 +7,12 @@
 //
 // Usage:
 //
-//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine lockstep|batched|async|parallel]
+//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine async|batched|lockstep|parallel]
 //	        [-governor performance|ondemand|thermal]
 //	        [-duration 60s] [-seed N] [-format csv|jsonl]
+//
+// The engine defaults to async; every engine writes the same trace
+// bytes for the same seed, so -engine changes only the run time.
 //
 // The scenario definitions are the shared catalog in internal/scenario
 // — the same "hottask" here, in esfarmd, and in a JSON spec file is the

@@ -114,21 +114,21 @@ const (
 // Engine re-exports the simulation-core selector.
 type Engine = machine.Engine
 
-// Simulation engines (see machine.Engine). EngineBatched — the default
-// — advances the machine in event-horizon quanta, integrating work,
-// energy, and temperature analytically between events; EngineAsync
-// adds per-CPU clocks on top, letting idle CPUs sleep past busy ones
-// and settling their state lazily (the fastest choice for mostly-idle
-// machines); EngineParallel shards the async step along NUMA-node
+// Simulation engines (see machine.Engine). EngineBatched advances the
+// machine in event-horizon quanta, integrating work, energy, and
+// temperature analytically between events; EngineAsync — the default
+// — adds per-CPU clocks on top, letting idle CPUs sleep past busy ones
+// and settling their state lazily, so a step costs only the busy CPUs;
+// EngineParallel shards the async step along NUMA-node
 // boundaries onto a goroutine pool (see Options.Shards — fastest on
 // wide, busy machines when cores are available); EngineLockstep is the
 // classic 1 ms loop. All four produce equivalent results for the same
 // seed, and EngineParallel is bit-identical to EngineAsync at every
 // shard count.
 const (
+	EngineAsync    = machine.EngineAsync
 	EngineBatched  = machine.EngineBatched
 	EngineLockstep = machine.EngineLockstep
-	EngineAsync    = machine.EngineAsync
 	EngineParallel = machine.EngineParallel
 )
 
@@ -145,10 +145,11 @@ func XSeries445NoSMT() Layout { return topology.XSeries445NoSMT() }
 type Options struct {
 	// Layout is the machine shape; zero means XSeries445NoSMT.
 	Layout Layout
-	// Engine selects the simulation core; the zero value is the batched
-	// event-horizon engine. EngineAsync batches idle CPUs past busy
-	// ones; EngineParallel additionally shards the step across
-	// goroutines; EngineLockstep restores the 1 ms loop.
+	// Engine selects the simulation core; the zero value is the async
+	// engine, which lets idle CPUs sleep past busy ones. EngineBatched
+	// advances every CPU by one global quantum; EngineParallel shards
+	// the async step across goroutines; EngineLockstep restores the
+	// 1 ms loop.
 	Engine Engine
 	// Shards is EngineParallel's shard count: 0 means one per NUMA
 	// node, larger values clamp to the node count. Results are

@@ -21,7 +21,7 @@ type engineFlag struct{ e *machine.Engine }
 func (f engineFlag) String() string {
 	if f.e == nil {
 		// Zero value: empty, so flag.PrintDefaults still shows the
-		// registered default ("batched") in -h output.
+		// registered default ("async") in -h output.
 		return ""
 	}
 	return f.e.String()
@@ -38,14 +38,14 @@ func (f engineFlag) Set(s string) error {
 
 // Engine registers the standard -engine flag on fs (nil selects
 // flag.CommandLine) and returns the destination, defaulting to the
-// batched engine.
+// async engine.
 func Engine(fs *flag.FlagSet) *machine.Engine {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
 	e := new(machine.Engine)
-	*e = machine.EngineBatched
-	fs.Var(engineFlag{e}, "engine", "simulation engine: lockstep, batched, async, or parallel")
+	*e = machine.EngineAsync
+	fs.Var(engineFlag{e}, "engine", "simulation engine: async, batched, lockstep, or parallel")
 	return e
 }
 

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -43,8 +44,10 @@ func newImageCache(maxBytes int64) *imageCache {
 
 // get returns the cached image for key, building it with build on a
 // miss. The second return reports whether it was a cache hit. Build
-// errors are not cached.
-func (c *imageCache) get(key string, build func() ([]byte, error)) ([]byte, bool, error) {
+// errors are not cached. A panic in build is returned as an error, to
+// the builder and to every request waiting on the same key, and leaves
+// the key free for the next request to build.
+func (c *imageCache) get(key string, build func() ([]byte, error)) (data []byte, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
@@ -66,15 +69,20 @@ func (c *imageCache) get(key string, build func() ([]byte, error)) ([]byte, bool
 	c.misses++
 	c.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			fl.data, fl.err = nil, fmt.Errorf("farm: building image: panic: %v", r)
+			data, err = nil, fl.err
+		}
+		close(fl.done)
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if fl.err == nil {
+			c.insert(key, fl.data)
+		}
+		c.mu.Unlock()
+	}()
 	fl.data, fl.err = build()
-	close(fl.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil {
-		c.insert(key, fl.data)
-	}
-	c.mu.Unlock()
 	return fl.data, false, fl.err
 }
 

@@ -39,7 +39,10 @@ type SweepRequest struct {
 	// Scenario is an inline scenario spec.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 	// Engine is the simulation engine ("lockstep", "batched", "async",
-	// "parallel"); empty means batched.
+	// "parallel"); empty means batched. This wire default differs from
+	// the CLI default (async) on purpose: the response header names the
+	// engine, so changing it would change the response bytes for a
+	// request that was already valid.
 	Engine string `json:"engine,omitempty"`
 	// WarmupMS is simulated once and shared by every seed.
 	WarmupMS int64 `json:"warmup_ms"`
@@ -95,7 +98,7 @@ func (r *SweepRequest) resolve() (scenario.Spec, machine.Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return spec, 0, err
 	}
-	engine := machine.EngineBatched
+	engine := machine.EngineBatched // the wire default; see SweepRequest.Engine
 	if r.Engine != "" {
 		e, err := machine.ParseEngine(r.Engine)
 		if err != nil {

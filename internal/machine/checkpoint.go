@@ -44,8 +44,10 @@ import (
 
 // CheckpointVersion is the current byte-format version. Restore rejects
 // images with any other version; the format is not forward- or
-// backward-compatible across versions.
-const CheckpointVersion = 1
+// backward-compatible across versions. Version 2 renumbered Engine
+// (EngineAsync became the zero value), so a version-1 image's
+// Cfg.Engine would restore onto the wrong engine.
+const CheckpointVersion = 2
 
 // taskSnapshot is one task's complete state: the scheduler's view
 // (timeslice, CPU, warmup, profile) and the workload's (phase machine,

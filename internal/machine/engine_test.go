@@ -650,6 +650,7 @@ func assertEquivalent(t *testing.T, lock, bat *Machine) {
 func TestBatchedEngineQuantaAreLarge(t *testing.T) {
 	m := MustNew(Config{
 		Layout: topology.XSeries445NoSMT(),
+		Engine: EngineBatched,
 		Sched:  sched.DefaultConfig(),
 		Seed:   1,
 	})

@@ -18,16 +18,17 @@
 //  6. handles timeslice expiry, blocking, and completion,
 //  7. runs due balancer and hot-task-migration deadlines.
 //
-// Three engines drive that step (see Engine): the lockstep engine
-// fixes the quantum at 1 ms — the classic tick loop; the default
-// batched engine plans, per step, the largest quantum over which the
-// machine state is provably constant (see batched.go) and integrates
-// it in one pass; and the async engine adds per-CPU clocks on top of
-// the batched planner (see async.go), parking idle CPUs entirely and
-// settling their state lazily when observed. The engines produce
-// equivalent results for the same seed; batched is several times
-// faster than lockstep, and async several times faster again on
-// machines that are mostly idle.
+// Four engines drive that step (see Engine): the lockstep engine
+// fixes the quantum at 1 ms — the classic tick loop; the batched
+// engine plans, per step, the largest quantum over which the machine
+// state is provably constant (see batched.go) and integrates it in
+// one pass; the async engine, the default, adds per-CPU clocks on top
+// of the batched planner (see async.go), parking idle CPUs entirely
+// and settling their state lazily when observed; and the parallel
+// engine shards the async step across goroutines (see parallel.go).
+// The engines produce equivalent results for the same seed; batched
+// is several times faster than lockstep, and async several times
+// faster again on machines that are mostly idle.
 package machine
 
 import (
@@ -73,9 +74,18 @@ const (
 type Engine int
 
 const (
-	// EngineBatched is the event-horizon engine (the default): it
-	// computes, per step, the largest quantum dt ≥ 1 ms over which the
-	// machine state is provably constant — bounded by running tasks'
+	// EngineAsync is the discrete-event core (async.go) and the default
+	// (the zero value): per-CPU clocks over the batched planner. Idle
+	// CPUs are parked — excluded from per-step work entirely — and
+	// their metric, throttle, and thermal state settles lazily in
+	// closed form whenever another CPU observes them, so idle-heavy and
+	// mixed workloads pay only for the CPUs that are actually busy.
+	// Produces the same scheduling decisions as the other engines (see
+	// TestEngineEquivalence).
+	EngineAsync Engine = iota
+	// EngineBatched is the event-horizon engine: it computes, per step,
+	// the largest quantum dt ≥ 1 ms over which the machine state is
+	// provably constant — bounded by running tasks'
 	// timeslice/phase/noise/block horizons, the earliest sleeper
 	// wake-up, the next balance/hot-check/monitor deadline, predicted
 	// throttle-metric crossings, and MaxQuantumMS — and integrates
@@ -85,20 +95,13 @@ const (
 	// reproduces the lockstep engine's results (identical completions,
 	// migrations, and throttle decisions; energies and temperatures
 	// equal up to floating-point rounding) while skipping the
-	// per-millisecond bookkeeping.
-	EngineBatched Engine = iota
+	// per-millisecond bookkeeping. Its global quantum drags every idle
+	// CPU through each busy CPU's steps, which EngineAsync avoids.
+	EngineBatched
 	// EngineLockstep is the classic 1 ms loop: every millisecond of
 	// every logical CPU is simulated individually. It serves as the
 	// reference for cross-engine equivalence tests and as a fallback.
 	EngineLockstep
-	// EngineAsync is the discrete-event core (async.go): per-CPU
-	// clocks over the batched planner. Idle CPUs are parked — excluded
-	// from per-step work entirely — and their metric, throttle, and
-	// thermal state settles lazily in closed form whenever another CPU
-	// observes them, so idle-heavy and mixed workloads pay only for
-	// the CPUs that are actually busy. Produces the same scheduling
-	// decisions as the other engines (see TestEngineEquivalence).
-	EngineAsync
 	// EngineParallel is the async engine with its data-parallel step
 	// phases sharded along topology.Node boundaries and executed on
 	// real goroutines (parallel.go): halt/SMT/DVFS speed resolution,
@@ -165,9 +168,10 @@ type Config struct {
 	// Layout is the CPU topology.
 	Layout topology.Layout
 
-	// Engine selects the simulation core; the zero value is the
-	// batched event-horizon engine. EngineLockstep restores the
-	// per-millisecond loop.
+	// Engine selects the simulation core; the zero value is the async
+	// discrete-event engine. EngineBatched selects the global-quantum
+	// event-horizon engine; EngineLockstep restores the per-millisecond
+	// loop.
 	Engine Engine
 	// MaxQuantumMS caps the batched engine's quantum; 0 selects
 	// DefaultMaxQuantumMS. Ignored by the lockstep engine.

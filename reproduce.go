@@ -47,7 +47,7 @@ type (
 )
 
 // A Reproducer regenerates the paper's tables and figures under an
-// explicit RunConfig. The zero value (batched engine, GOMAXPROCS
+// explicit RunConfig. The zero value (async engine, GOMAXPROCS
 // workers) is ready to use:
 //
 //	var r energysched.Reproducer
