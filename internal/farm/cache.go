@@ -18,7 +18,8 @@ type imageCache struct {
 	entries  map[string]*list.Element
 	inflight map[string]*inflightBuild
 
-	// hits/misses are cumulative counters for the stats endpoint.
+	// hits/misses are cumulative counters, reported by stats (in the
+	// per-request log line).
 	hits, misses int64
 }
 

@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -197,5 +198,36 @@ func TestCacheEviction(t *testing.T) {
 	mk("huge", 200) // larger than the budget: pass-through, never cached
 	if _, hit, _ := c.get("huge", func() ([]byte, error) { return nil, nil }); hit {
 		t.Error("oversized image should not be cached")
+	}
+}
+
+// lineLimitWriter accepts n writes (one NDJSON line each), then fails
+// like a connection the client has closed.
+type lineLimitWriter struct{ n int }
+
+func (w *lineLimitWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errors.New("client went away")
+	}
+	w.n--
+	return len(p), nil
+}
+
+// A sweep whose client goes away mid-stream must stop measuring: seeds
+// that have not started are skipped, not run for nobody.
+func TestStreamStopsWhenClientGoesAway(t *testing.T) {
+	srv := NewServer(experiments.RunConfig{Jobs: 1}, 0, nil)
+	req := testRequest()
+	req.WarmupMS, req.MeasureMS = 500, 500
+	req.Seeds = nil
+	for i := uint64(1); i <= 64; i++ {
+		req.Seeds = append(req.Seeds, i)
+	}
+	// The header and the first row go through; the second row fails.
+	if err := srv.Direct(&lineLimitWriter{n: 2}, req); err == nil {
+		t.Fatal("Direct reported no error for a failed writer")
+	}
+	if got := srv.measured.Load(); got >= int64(len(req.Seeds)) {
+		t.Fatalf("measured %d of %d seeds after the client went away", got, len(req.Seeds))
 	}
 }

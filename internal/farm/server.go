@@ -2,10 +2,12 @@ package farm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 
 	"energysched/internal/experiments"
 	"energysched/internal/machine"
@@ -26,6 +28,8 @@ type Server struct {
 
 	cache *imageCache
 	logf  func(format string, args ...any)
+	// measured counts the seeds measured across all requests.
+	measured atomic.Int64
 }
 
 // NewServer builds a server with an image cache of at most cacheBytes
@@ -110,7 +114,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	if err := s.stream(w, flush, spec, engine, image, req); err != nil {
+	if err := s.stream(r.Context(), w, flush, spec, engine, image, req); err != nil {
 		// The header already went out; the error line is the trailer.
 		s.logf("sweep %s failed: %v", spec.Hash()[:12], err)
 	}
@@ -150,14 +154,16 @@ func (s *Server) Direct(w io.Writer, req SweepRequest) error {
 	if err != nil {
 		return err
 	}
-	return s.stream(w, func() {}, spec, engine, image, req)
+	return s.stream(context.Background(), w, func() {}, spec, engine, image, req)
 }
 
 // stream restores the warm image once and writes the header plus one
 // row per seed, in seed order, each row committed as soon as it and
 // all its predecessors are done. Worker panics surface as an error
-// trailer after the rows that did complete.
-func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine machine.Engine, image []byte, req SweepRequest) error {
+// trailer after the rows that did complete. Once ctx is done (the
+// client went away) or a row cannot be written, seeds that have not
+// started are skipped rather than measured for nobody.
+func (s *Server) stream(ctx context.Context, w io.Writer, flush func(), spec scenario.Spec, engine machine.Engine, image []byte, req SweepRequest) error {
 	template, err := machine.Restore(image, nil)
 	if err != nil {
 		return writeError(w, err)
@@ -175,6 +181,8 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine ma
 	}
 	flush()
 
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	rc := s.RC
 	rc.Engine = engine
 	results := make([]chan experiments.SeedRow, len(req.Seeds))
@@ -184,15 +192,20 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine ma
 	poolErr := make(chan error, 1)
 	go func() {
 		err := rc.ForEach(len(req.Seeds), func(i int) {
+			if ctx.Err() != nil {
+				return // no one will read the row
+			}
 			b, err := template.Branch(nil)
 			if err != nil {
 				panic(fmt.Sprintf("branch for seed %d: %v", req.Seeds[i], err))
 			}
 			results[i] <- experiments.MeasureSeed(b, req.Seeds[i], req.MeasureMS)
+			s.measured.Add(1)
 		})
 		poolErr <- err
-		// Close every channel so a panicked slot cannot stall the
-		// committer: its receive sees the close instead of a row.
+		// Close every channel so a panicked or skipped slot cannot
+		// stall the committer: its receive sees the close instead of a
+		// row.
 		for _, ch := range results {
 			close(ch)
 		}
@@ -203,7 +216,9 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine ma
 			break
 		}
 		if err := enc.Encode(row); err != nil {
-			// Client went away; drain the pool before returning.
+			// Client went away: skip the seeds not yet started and
+			// wait only for the running ones.
+			cancel()
 			<-poolErr
 			return err
 		}
@@ -212,7 +227,7 @@ func (s *Server) stream(w io.Writer, flush func(), spec scenario.Spec, engine ma
 	if err := <-poolErr; err != nil {
 		return writeError(w, err)
 	}
-	return nil
+	return ctx.Err()
 }
 
 // writeError emits the NDJSON error trailer and returns err.

@@ -568,23 +568,6 @@ pkgs:
 	}
 }
 
-// syncBeforeDeadlines records, just before the periodic-deadline phase
-// of an async step, the queued-task count the deadline loop uses to
-// skip parked CPUs (with zero waiting tasks a parked CPU's balance
-// pass is a provable no-op). Deferred metrics are NOT settled here:
-// the ThermalRead hook settles each parked CPU lazily, the first time
-// a balance, hot-check, or placement pass actually reads it.
-func (m *Machine) syncBeforeDeadlines() {
-	if m.nParked == 0 {
-		// Nothing parked: the deadline phase runs exactly as in the
-		// batched engine. The queued count is only consulted for
-		// parked CPUs, so skip even the counter read.
-		m.asyncQueued = 1
-		return
-	}
-	m.asyncQueued = m.wheel.QueuedCount()
-}
-
 // settleAll materializes every deferred piece of state at the current
 // clock. Parked CPUs, dormant throttles, and parked packages stay
 // parked — only their settle clocks advance — so the caller can read

@@ -175,7 +175,10 @@ func (m *Machine) planQuantum(limit int64) int64 {
 // former per-CPU modulo sweep. With zero waiting tasks machine-wide,
 // every balancing pass — periodic and idle pull alike — is provably a
 // no-op and both classes are skipped entirely: the big win for
-// idle-heavy workloads. Hot-check deadlines are armed only for
+// idle-heavy workloads. fireDueDeadlines applies the same gate, read
+// live, to the passes of the CPUs whose deadlines do bound the quantum,
+// so a balance instant reached for another class's sake costs no pass
+// either. Hot-check deadlines are armed only for
 // single-task CPUs with a power budget, governor deadlines only for
 // occupied CPUs; all other CPUs' instants are no-ops and never reach
 // the planner.

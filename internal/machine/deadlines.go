@@ -17,8 +17,11 @@ const (
 // DeadlineFires returns how many deadline-phase visits each class fired
 // (balance, idle-pull, hot-check, governor) since the last ResetStats —
 // on the event-driven engines, exactly the work the due lists walked
-// instead of an O(nCPU) scan per step. Always zero on the lockstep
-// engine, which fires from the historical modulo scan.
+// instead of an O(nCPU) scan per step. A visit counts even when its
+// pass is short-circuited (DeadlineStats' BalanceSkipped and
+// HotPruned); only a parked CPU's visit with nothing queued does not.
+// Always zero on the lockstep engine, which fires from the historical
+// modulo scan.
 func (m *Machine) DeadlineFires() (balance, idlePull, hot, gov int64) {
 	return m.deadlineFires[fireBalance], m.deadlineFires[fireIdlePull],
 		m.deadlineFires[fireHot], m.deadlineFires[fireGov]
@@ -36,6 +39,14 @@ func (m *Machine) DeadlineStats() sched.DeadlineStats { return m.wheel.Stats }
 // call order — is identical to the lockstep engine's per-CPU modulo
 // scan. Idleness and hot-check applicability are re-checked live at
 // fire time, exactly as the scan does.
+//
+// A balance or idle-pull pass (unit balancing included) only pulls
+// waiting tasks, so with none queued machine-wide it is a provable
+// no-op and is not run: the visit still counts as a fire, and as
+// BalanceSkipped. The queued count is read live at each CPU, because a
+// hot migration earlier in the phase re-enqueues a running task. A
+// parked CPU has nothing to run, so with nothing queued none of its
+// passes can act and the visit is skipped outright.
 func (m *Machine) fireDueDeadlines(endMS int64) {
 	bal := m.wheel.BalanceDueCPUs(endMS)
 	idle := m.wheel.IdlePullDueCPUs(endMS)
@@ -65,33 +76,32 @@ func (m *Machine) fireDueDeadlines(endMS int64) {
 			hi++
 		}
 		ci := int(c)
-		if m.cpuParked(ci) && m.asyncQueued == 0 {
-			// Parked with nothing to pull machine-wide: every pass is a
-			// provable no-op.
+		queued := m.wheel.QueuedCount() > 0
+		if !queued && m.cpuParked(ci) {
 			continue
 		}
 		cpu := topology.CPUID(ci)
 		if balDue {
 			m.deadlineFires[fireBalance]++
-			m.Sched.Balance(cpu)
-			m.Sched.UnitBalance(cpu)
+			if queued {
+				m.Sched.Balance(cpu)
+				m.Sched.UnitBalance(cpu)
+			} else {
+				m.wheel.Stats.BalanceSkipped++
+			}
 		} else if idleDue && m.Sched.RQ(cpu).Idle() {
 			// Idle balancing: an idle CPU tries to pull work promptly,
 			// like Linux's idle rebalance.
 			m.deadlineFires[fireIdlePull]++
-			m.Sched.Balance(cpu)
+			if queued {
+				m.Sched.Balance(cpu)
+			} else {
+				m.wheel.Stats.BalanceSkipped++
+			}
 		}
 		if hotDue {
 			m.deadlineFires[fireHot]++
-			if m.Sched.HotCheck(cpu) && m.async {
-				// The hot migration (or exchange) re-enqueued a running
-				// task, so a parked CPU's balance pass later this tick
-				// is no longer a provable no-op: refresh the queued
-				// count the skip condition consults. (Deferred metrics
-				// settle lazily through the ThermalRead hook as the
-				// pass reads them.)
-				m.asyncQueued = m.wheel.QueuedCount()
-			}
+			m.Sched.HotCheck(cpu)
 		}
 	}
 }

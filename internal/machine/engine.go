@@ -326,25 +326,25 @@ func (m *Machine) step(limitMS int64) int64 {
 	// the deadline scheduler. The batched planner guarantees no
 	// relevant deadline falls strictly inside the quantum, so firing at
 	// the end tick alone visits exactly the instants the lockstep loop
-	// visits. These passes read thermal power across the machine, so
-	// the async engine settles its deferred metrics first when any pass
-	// will evaluate; with nothing queued a parked CPU's pass is a
-	// provable no-op and is skipped outright. The event-driven engines
-	// walk the precomputed due-CPU lists of the end tick; the lockstep
-	// engine keeps the historical per-CPU modulo scan, the reference
-	// the due lists are asserted byte-identical against.
+	// visits. These passes read thermal power across the machine; the
+	// async engine settles each parked CPU lazily, through the
+	// ThermalRead hook, the first time a pass reads it. The
+	// event-driven engines walk the precomputed due-CPU lists of the
+	// end tick and run only the passes that could act: a balance or
+	// idle pull runs only while a task is queued somewhere, and a hot
+	// check ends early when no other core is cool enough to take its
+	// task (the scheduler's lower bound on the coolest-core scan). The
+	// lockstep engine keeps the historical per-CPU modulo scan with
+	// every pass run, the unskipped reference both short-circuits are
+	// asserted byte-identical against.
 	if m.async {
 		m.thermalDone = true
-		m.syncBeforeDeadlines()
 	}
 	m.Sched.BeginDeadlineEpoch()
 	if m.eventDriven {
 		m.fireDueDeadlines(endMS)
 	} else {
 		for c := 0; c < nCPU; c++ {
-			if m.cpuParked(c) && m.asyncQueued == 0 {
-				continue
-			}
 			cpu := topology.CPUID(c)
 			if m.wheel.BalanceDue(endMS, c) {
 				m.Sched.Balance(cpu)

@@ -25,6 +25,9 @@ type engineScenario struct {
 	name  string
 	build func(e Engine) *Machine
 	runMS int64
+	// check, when set, asserts scenario-specific properties of an
+	// event-driven engine's machine after the run.
+	check func(t *testing.T, m *Machine)
 }
 
 func engineScenarios() []engineScenario {
@@ -219,6 +222,39 @@ func engineScenarios() []engineScenario {
 				return m
 			},
 			runMS: 6_000,
+		},
+		{
+			// Saturated multi-node server under a tight budget: 62
+			// CPU-bound tasks on 64 CPUs, so almost nothing is ever
+			// queued and nearly every core runs hot. Due balance and
+			// idle-pull passes are skipped for want of queued work, most
+			// hot checks end at the coolest-core lower bound, and the
+			// few cooler single-task cores still draw hot migrations
+			// (whose re-enqueued tasks briefly let balancing run).
+			name: "saturated-tight",
+			build: func(e Engine) *Machine {
+				m := MustNew(Config{
+					Engine: e, Layout: topology.Server64(),
+					Sched: sched.DefaultConfig(), Seed: 37,
+					PackageMaxPowerW: []float64{80}, MonitorPeriodMS: 1000,
+				})
+				for _, p := range cat.Table2Set() {
+					m.SpawnN(p, 10)
+				}
+				m.SpawnN(cat.Bitcnts(), 2)
+				return m
+			},
+			runMS: 20_000,
+			check: func(t *testing.T, m *Machine) {
+				st := m.DeadlineStats()
+				if st.BalanceSkipped == 0 || st.HotPruned == 0 {
+					t.Errorf("BalanceSkipped=%d HotPruned=%d: a short-circuit was not exercised",
+						st.BalanceSkipped, st.HotPruned)
+				}
+				if m.Sched.MigrationsByReason[sched.MigrateHot] == 0 {
+					t.Error("no hot migration: the unpruned scan was not exercised")
+				}
+			},
 		},
 		{
 			// DVFS, ondemand governor: interactive tasks idle below the
@@ -476,6 +512,9 @@ func TestEngineEquivalence(t *testing.T) {
 					got.Run(rem)
 				}
 				assertEquivalent(t, lock, got)
+				if sc.check != nil && v.engine != EngineParallel {
+					sc.check(t, got)
+				}
 				if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
 					t.Errorf("event trace differs from lockstep (%d vs %d bytes): %s",
 						len(gotCSV), len(lockCSV), firstTraceDiff(lockCSV, gotCSV))

@@ -411,7 +411,6 @@ type Machine struct {
 	throttleOf   []int             // cpu → scalar throttle index, -1 if none
 	idleEffW     float64           // core effective power, whole package idle
 	wakePQ       *sched.EventQueue // pending wake-ups (lazy deletion)
-	asyncQueued  int               // queued count at the deadline phase
 	// lastSettleGap/lastSettleW cache the thermal sample weight for the
 	// most recent period length, shared across CPUs only when
 	// thermWShared (uniform package time constants, checked at

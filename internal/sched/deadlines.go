@@ -66,6 +66,13 @@ type DeadlineStats struct {
 	// HotStale / GovStale count lazily discarded entries whose CPU left
 	// the armed state (or re-armed under a newer instant).
 	HotStale, GovStale int64
+	// BalanceSkipped counts due balance, idle-pull, and unit-balance
+	// visits not run because no task was queued machine-wide (such a
+	// pass only pulls waiting tasks, so it could not act).
+	BalanceSkipped int64
+	// HotPruned counts triggered hot checks ended by the coolest-core
+	// lower bound: no other core was cool enough to take the task.
+	HotPruned int64
 }
 
 // dueTable answers both deadline-class questions for a fixed (period,
@@ -142,6 +149,7 @@ func (t *dueTable) due(now int64) []int32 {
 // reads MaxPower) and before any task is spawned.
 func (s *Scheduler) AttachDeadlines(w *Wheel) {
 	w.attach(s)
+	s.dl = w
 	for _, rq := range s.RQs {
 		rq.notify = w
 	}

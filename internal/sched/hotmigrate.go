@@ -41,6 +41,14 @@ func (s *Scheduler) HotTrigger(cpu topology.CPUID) bool {
 // running a single distinctly cooler task, which is then exchanged to
 // preserve load balance. If the top-level domain yields no destination,
 // all CPUs are hot and the task stays (the CPU will be throttled).
+//
+// Within a deadline epoch on an attached deadline scheduler, the check
+// first compares against a lower bound: the smallest sum of any other
+// core of the outermost domain scanned. Every destination any level can
+// pick is such a core, so when even that bound is not considerably
+// cooler, every level would ascend and the check ends at once (counted
+// as HotPruned). The coolerThan tie margin only decides which core a
+// level picks, never the picked core's sum, so the bound is exact.
 func (s *Scheduler) HotCheck(cpu topology.CPUID) bool {
 	if !s.Cfg.HotTaskMigration {
 		return false
@@ -55,8 +63,16 @@ func (s *Scheduler) HotCheck(cpu topology.CPUID) bool {
 	task := rq.Current
 	myCoreTP := s.CoreThermalSum(cpu)
 	myCore := int(s.coreOf[cpu])
+	doms := s.Topo.DomainsFor(cpu)
+	if s.memoOn && s.dl != nil {
+		if top := outermostScanned(doms); top != nil &&
+			s.coolestOtherSum(top, myCore) > myCoreTP-s.Cfg.HotDestGapW {
+			s.dl.Stats.HotPruned++
+			return false
+		}
+	}
 
-	for _, dom := range s.Topo.DomainsFor(cpu) {
+	for _, dom := range doms {
 		if dom.Flags&topology.FlagShareCPUPower != 0 {
 			continue // never migrate within the own core
 		}
@@ -171,6 +187,48 @@ func (s *Scheduler) coolestCoreExcl(dom *topology.Domain, myCore int) (int, floa
 		return int(e.top1), e.tp1
 	}
 	return int(e.top2), e.tp2
+}
+
+// outermostScanned returns the widest domain of a bottom-up hierarchy
+// that HotCheck scans (SMT-sibling domains are never scanned), or nil
+// when there is none. Every scanned level is a subset of its span.
+func outermostScanned(doms []*topology.Domain) *topology.Domain {
+	for i := len(doms) - 1; i >= 0; i-- {
+		if doms[i].Flags&topology.FlagShareCPUPower == 0 {
+			return doms[i]
+		}
+	}
+	return nil
+}
+
+// coolestOtherSum returns the smallest raw thermal sum of a core of
+// dom's span other than myCore (+inf when there is none). Like
+// coolestCoreExcl it keeps the two smallest sums per domain under the
+// current coolGen, so one pass serves every hot check of the phase;
+// unlike it, the ranking is a plain < with no tie margin, which yields
+// the exact minimum the bound needs.
+func (s *Scheduler) coolestOtherSum(dom *topology.Domain, myCore int) float64 {
+	e, ok := s.minCache[dom]
+	if !ok || e.gen != s.coolGen {
+		e = coolEntry{top1: -1, top2: -1,
+			tp1: math.Inf(1), tp2: math.Inf(1)}
+		for _, core := range s.domainCores(dom) {
+			tp := s.coreSum(int(core))
+			if tp < e.tp1 {
+				e.top2, e.tp2 = e.top1, e.tp1
+				e.top1, e.tp1 = core, tp
+			} else if tp < e.tp2 {
+				e.top2, e.tp2 = core, tp
+			}
+		}
+		// Stamped at scan end, as in coolestCoreExcl.
+		e.gen = s.coolGen
+		s.minCache[dom] = e
+	}
+	if int(e.top1) != myCore {
+		return e.tp1
+	}
+	return e.tp2
 }
 
 // CoreThermalSum returns the summed thermal power of all logical CPUs

@@ -225,6 +225,15 @@ type Scheduler struct {
 	// their own per-CPU stamps.
 	coolGen   uint64
 	coolCache map[*topology.Domain]coolEntry
+	// minCache holds, per domain and under the same coolGen, the two
+	// smallest raw core sums (plain <, no tie margin): the lower bound
+	// with which HotCheck ends a check no destination could satisfy.
+	minCache map[*topology.Domain]coolEntry
+	// dl is the attached deadline scheduler (AttachDeadlines), nil
+	// when none is attached (bare scheduler tests, the lockstep
+	// reference engine). HotCheck applies its lower bound only when
+	// attached, so the lockstep engine runs every scan in full.
+	dl *Wheel
 	// qMutGen counts queue-occupancy mutations; the per-domain group
 	// scans below are valid only while it stands still (any task move
 	// can change a group's hottest/busiest ranking).
@@ -312,6 +321,7 @@ func New(topo *topology.Topology, cfg Config, placement *profile.PlacementTable)
 	s.thermStamp = make([]uint64, n)
 	s.thermVal = make([]float64, n)
 	s.coolCache = make(map[*topology.Domain]coolEntry)
+	s.minCache = make(map[*topology.Domain]coolEntry)
 	s.hotGroups = make(map[*topology.Domain]groupEntry)
 	s.bsyGroups = make(map[*topology.Domain]groupEntry)
 	s.loads = loadCounts{
