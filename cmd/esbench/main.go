@@ -12,11 +12,12 @@
 //
 // Usage:
 //
-//	esbench [-quick] [-time 1s] [-out FILE] [-engines lockstep,batched,async,parallel]
+//	esbench [-quick] [-time 1s] [-out FILE] [-engines lockstep,batched,async]
 //	        [-compare BASELINE.json] [-threshold 15] [-trend DIR]
 //
-// -engines defaults to all four engines. The farm/warm-branch row runs
-// on the default engine (async), the one every tool runs when no
+// -engines defaults to all three engines and rejects a list that names
+// one twice ("parallel" is an alias of async). The farm/warm-branch row
+// runs on the default engine (async), the one every tool runs when no
 // -engine is named.
 //
 // -quick runs every benchmark for a single iteration (the CI smoke

@@ -13,7 +13,7 @@
 //     and fit the RC exponential. The tool reports the recovered R and
 //     τ per package against ground truth.
 //
-// Usage: escalibrate [-seed N] [-noise F] [-engine async|batched|lockstep|parallel]
+// Usage: escalibrate [-seed N] [-noise F] [-engine async|batched|lockstep]
 //
 // The engine defaults to async.
 package main

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine async|batched|lockstep|parallel]
+//	estrace [-scenario hottask|mixed|cmp|dvfs|faults] [-engine async|batched|lockstep]
 //	        [-governor performance|ondemand|thermal]
 //	        [-duration 60s] [-seed N] [-format csv|jsonl]
 //

@@ -26,7 +26,7 @@
 //	fmt.Println(task.Profile.Watts()) // ≈ 61 W
 //
 // The reproduction experiments (every table and figure of the paper's
-// evaluation) live behind the Reproduce* functions and the espower CLI.
+// evaluation) live behind the Reproducer methods and the espower CLI.
 package energysched
 
 import (
@@ -119,17 +119,12 @@ type Engine = machine.Engine
 // temperature analytically between events; EngineAsync — the default
 // — adds per-CPU clocks on top, letting idle CPUs sleep past busy ones
 // and settling their state lazily, so a step costs only the busy CPUs;
-// EngineParallel shards the async step along NUMA-node
-// boundaries onto a goroutine pool (see Options.Shards — fastest on
-// wide, busy machines when cores are available); EngineLockstep is the
-// classic 1 ms loop. All four produce equivalent results for the same
-// seed, and EngineParallel is bit-identical to EngineAsync at every
-// shard count.
+// EngineLockstep is the classic 1 ms loop. All three produce
+// equivalent results for the same seed.
 const (
 	EngineAsync    = machine.EngineAsync
 	EngineBatched  = machine.EngineBatched
 	EngineLockstep = machine.EngineLockstep
-	EngineParallel = machine.EngineParallel
 )
 
 // XSeries445 returns the paper's evaluation machine layout (2 NUMA
@@ -147,14 +142,9 @@ type Options struct {
 	Layout Layout
 	// Engine selects the simulation core; the zero value is the async
 	// engine, which lets idle CPUs sleep past busy ones. EngineBatched
-	// advances every CPU by one global quantum; EngineParallel shards
-	// the async step across goroutines; EngineLockstep restores the
-	// 1 ms loop.
+	// advances every CPU by one global quantum; EngineLockstep
+	// restores the 1 ms loop.
 	Engine Engine
-	// Shards is EngineParallel's shard count: 0 means one per NUMA
-	// node, larger values clamp to the node count. Results are
-	// bit-identical at every count. The other engines ignore it.
-	Shards int
 	// MaxQuantumMS caps the batched engine's quantum; 0 selects the
 	// machine default. Ignored by the lockstep engine.
 	MaxQuantumMS int
@@ -254,7 +244,6 @@ func New(opt Options) (*System, error) {
 	m, err := machine.New(machine.Config{
 		Layout:           layout,
 		Engine:           opt.Engine,
-		Shards:           opt.Shards,
 		MaxQuantumMS:     opt.MaxQuantumMS,
 		Sched:            pol,
 		Seed:             opt.Seed,

@@ -45,7 +45,7 @@ func Engine(fs *flag.FlagSet) *machine.Engine {
 	}
 	e := new(machine.Engine)
 	*e = machine.EngineAsync
-	fs.Var(engineFlag{e}, "engine", "simulation engine: async, batched, lockstep, or parallel")
+	fs.Var(engineFlag{e}, "engine", "simulation engine: async, batched, or lockstep")
 	return e
 }
 
@@ -62,6 +62,9 @@ func (f enginesFlag) String() string {
 	return strings.Join(names, ",")
 }
 
+// Set parses the list and rejects one that names an engine twice once
+// aliases resolve ("async,parallel"): the duplicate would measure the
+// same engine again.
 func (f enginesFlag) Set(s string) error {
 	var out []machine.Engine
 	for _, part := range strings.Split(s, ",") {
@@ -73,6 +76,11 @@ func (f enginesFlag) Set(s string) error {
 		if err != nil {
 			return err
 		}
+		for _, prev := range out {
+			if prev == e {
+				return fmt.Errorf("engine %q duplicates %s in %q", part, e, s)
+			}
+		}
 		out = append(out, e)
 	}
 	if len(out) == 0 {
@@ -83,13 +91,13 @@ func (f enginesFlag) Set(s string) error {
 }
 
 // Engines registers the -engines flag (comma-separated engine list) on
-// fs (nil selects flag.CommandLine), defaulting to all four engines.
+// fs (nil selects flag.CommandLine), defaulting to all three engines.
 func Engines(fs *flag.FlagSet) *[]machine.Engine {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	es := &[]machine.Engine{machine.EngineLockstep, machine.EngineBatched, machine.EngineAsync, machine.EngineParallel}
-	fs.Var(enginesFlag{es}, "engines", "comma-separated engines to run (lockstep,batched,async,parallel)")
+	es := &[]machine.Engine{machine.EngineLockstep, machine.EngineBatched, machine.EngineAsync}
+	fs.Var(enginesFlag{es}, "engines", "comma-separated engines to run (lockstep,batched,async)")
 	return es
 }
 

@@ -38,11 +38,13 @@ type SweepRequest struct {
 	Name string `json:"name,omitempty"`
 	// Scenario is an inline scenario spec.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
-	// Engine is the simulation engine ("lockstep", "batched", "async",
-	// "parallel"); empty means batched. This wire default differs from
-	// the CLI default (async) on purpose: the response header names the
+	// Engine is the simulation engine ("lockstep", "batched", "async");
+	// empty means batched. This wire default differs from the CLI
+	// default (async) on purpose: the response header names the
 	// engine, so changing it would change the response bytes for a
-	// request that was already valid.
+	// request that was already valid. "parallel", the retired sharded
+	// engine's name, is still accepted: it runs async, shares async's
+	// image-cache entries, and the header echoes "async".
 	Engine string `json:"engine,omitempty"`
 	// WarmupMS is simulated once and shared by every seed.
 	WarmupMS int64 `json:"warmup_ms"`

@@ -231,3 +231,58 @@ func TestStreamStopsWhenClientGoesAway(t *testing.T) {
 		t.Fatalf("measured %d of %d seeds after the client went away", got, len(req.Seeds))
 	}
 }
+
+// TestParallelEngineAlias: a request naming the retired parallel
+// engine is served on async and shares async's image-cache entry — the
+// first of the two requests warms (miss), the second is a hit — and
+// both stream the same bytes, with a header that names async.
+func TestParallelEngineAlias(t *testing.T) {
+	par, asy := testRequest(), testRequest()
+	par.Engine, asy.Engine = "parallel", "async"
+	pSpec, pEngine, err := par.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aSpec, aEngine, err := asy.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk, ak := cacheKey(pSpec, pEngine, par.WarmupMS), cacheKey(aSpec, aEngine, asy.WarmupMS); pk != ak {
+		t.Fatalf("cache keys differ: parallel %q, async %q", pk, ak)
+	}
+
+	ts := httptest.NewServer(NewServer(experiments.RunConfig{}, 0, nil).Handler())
+	defer ts.Close()
+	sweep := func(req SweepRequest) (string, []byte) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("engine %q: status %d", req.Engine, resp.StatusCode)
+		}
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("X-Esfarmd-Cache"), out.Bytes()
+	}
+	pCache, pBody := sweep(par)
+	aCache, aBody := sweep(asy)
+	if pCache != "miss" || aCache != "hit" {
+		t.Errorf("X-Esfarmd-Cache parallel/async = %q/%q, want miss/hit", pCache, aCache)
+	}
+	if !bytes.Equal(pBody, aBody) {
+		t.Errorf("parallel and async streams differ:\n-- parallel --\n%s\n-- async --\n%s", pBody, aBody)
+	}
+	var hdr Header
+	if err := json.Unmarshal(bytes.SplitN(pBody, []byte("\n"), 2)[0], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Engine != "async" {
+		t.Errorf("header engine = %q, want async", hdr.Engine)
+	}
+}

@@ -5,19 +5,16 @@ import (
 	"strings"
 
 	"energysched/internal/machine"
+	"energysched/internal/scenario"
 	"energysched/internal/trace"
 )
 
-// The oracle harness: one scenario through all four engines. The
-// lockstep engine is the reference; the batched, async, and parallel
-// engines must reproduce its event trace byte-for-byte and its
-// observable state within floating-point rounding. The parallel engine
-// runs at the spec's shard count and is held to a stricter bar: its
-// snapshot must match the async engine's bit-for-bit (tolerance zero),
-// because its merge is defined as a reordering-free execution of the
-// async step. Each machine is additionally checked against its own
-// conservation and parking invariants, so a bug shared by all engines
-// (or in lockstep itself) still trips the oracle.
+// The oracle harness: one scenario through all three engines. The
+// lockstep engine is the reference; the batched and async engines must
+// reproduce its event trace byte-for-byte and its observable state
+// within floating-point rounding. Each machine is additionally checked
+// against its own conservation and parking invariants, so a bug shared
+// by all engines (or in lockstep itself) still trips the oracle.
 
 // tol is the cross-engine relative tolerance for float outcomes,
 // matching TestEngineEquivalence.
@@ -25,7 +22,7 @@ const tol = 1e-6
 
 // Failure describes why a scenario tripped the oracle.
 type Failure struct {
-	Spec   Spec
+	Spec   scenario.Spec
 	Engine machine.Engine // the machine the problem was observed on
 	// Kind is "build", "invariant", "trace", or "state".
 	Kind string
@@ -44,9 +41,9 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("%s [%s/%s]:\n  %s", f.Spec.Name, f.Engine, f.Kind, strings.Join(lines, "\n  "))
 }
 
-// Check runs the scenario through all four engines and returns nil
+// Check runs the scenario through all three engines and returns nil
 // when every oracle condition holds.
-func Check(s Spec) *Failure {
+func Check(s scenario.Spec) *Failure {
 	// Lockstep reference: one uninterrupted run.
 	lockRec := trace.New(0)
 	lock, err := s.Build(machine.EngineLockstep, lockRec)
@@ -66,8 +63,7 @@ func Check(s Spec) *Failure {
 	}
 	ref := lock.Snapshot()
 
-	var asyncSnap *machine.Snapshot
-	for _, engine := range []machine.Engine{machine.EngineBatched, machine.EngineAsync, machine.EngineParallel} {
+	for _, engine := range []machine.Engine{machine.EngineBatched, machine.EngineAsync} {
 		rec := trace.New(0)
 		m, err := s.Build(engine, rec)
 		if err != nil {
@@ -110,17 +106,6 @@ func Check(s Spec) *Failure {
 		}
 		if diffs := checkTraceCounts(m, rec); len(diffs) > 0 {
 			return &Failure{Spec: s, Engine: engine, Kind: "invariant", Diffs: diffs}
-		}
-		switch engine {
-		case machine.EngineAsync:
-			asyncSnap = m.Snapshot()
-		case machine.EngineParallel:
-			// The sharded merge must be bit-identical to async, not
-			// merely within the lockstep tolerance.
-			if diffs := machine.DiffSnapshots(asyncSnap, m.Snapshot(), 0); len(diffs) > 0 {
-				return &Failure{Spec: s, Engine: engine, Kind: "state",
-					Diffs: append([]string{"vs async, bit-exact:"}, diffs...)}
-			}
 		}
 	}
 	return nil

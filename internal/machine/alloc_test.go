@@ -12,10 +12,6 @@ import (
 // every step reuses the scratch buffers allocated at construction.
 // This pins the hot path for the planning engines — a regression here
 // multiplies straight into large-topology sweep times via GC pressure.
-// The parallel engine runs twice: once as built for this host, and once
-// with a forced multi-worker pool, because its fork/join (a buffered
-// channel send per worker plus one WaitGroup cycle) must also cost zero
-// allocations per quantum.
 func TestSteadyStateQuantumAllocs(t *testing.T) {
 	measure := func(t *testing.T, build func() *Machine) {
 		t.Helper()
@@ -42,21 +38,11 @@ func TestSteadyStateQuantumAllocs(t *testing.T) {
 			PackageMaxPowerW: []float64{60},
 		}
 	}
-	for _, e := range []Engine{EngineBatched, EngineAsync, EngineParallel} {
+	for _, e := range []Engine{EngineBatched, EngineAsync} {
 		t.Run(e.String(), func(t *testing.T) {
 			measure(t, func() *Machine { return MustNew(cfg(e)) })
 		})
 	}
-	t.Run("parallel-pool", func(t *testing.T) {
-		var m *Machine
-		withWorkers(t, 2, func() { m = MustNew(cfg(EngineParallel)) })
-		if m.par.workers != 2 {
-			t.Fatalf("workers = %d, want 2", m.par.workers)
-		}
-		// AllocsPerRun pins GOMAXPROCS to 1, but the pool was sized at
-		// construction, so the forks still go through the channels.
-		measure(t, func() *Machine { return m })
-	})
 }
 
 // The async engine's extra machinery — parking, settling, the wake

@@ -82,9 +82,8 @@ func (m *Machine) runAsync(durationMS int64) {
 }
 
 // initAsync allocates the parking state. Called from New for
-// EngineAsync and EngineParallel (which is the async engine plus the
-// fork-join machinery); the other engines leave m.async false and the
-// step guards compile to nil-checks that never fire.
+// EngineAsync; the other engines leave m.async false and the step
+// guards compile to nil-checks that never fire.
 func (m *Machine) initAsync() {
 	nCPU := m.Cfg.Layout.NumLogical()
 	nPkg := m.Cfg.Layout.NumPackages()
@@ -194,7 +193,6 @@ func (m *Machine) stepCPUs() []int32 {
 	if m.stepListDirty {
 		m.stepList = materialize(m.stepList[:0], m.liveCPUBits)
 		m.stepListDirty = false
-		m.stepListGen++
 	}
 	return m.stepList
 }
@@ -209,7 +207,6 @@ func (m *Machine) stepCoreList() []int32 {
 	if m.stepCoresDirty {
 		m.stepCores = materialize(m.stepCores[:0], m.liveCoreBits)
 		m.stepCoresDirty = false
-		m.stepCoresGen++
 	}
 	return m.stepCores
 }

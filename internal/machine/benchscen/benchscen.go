@@ -5,7 +5,7 @@
 // and the CI artifact). The machine configurations themselves live in
 // the shared scenario catalog (internal/scenario, the same names
 // esfarmd serves); this package only adds the timing envelopes — chunk
-// and warm-up lengths, and which engines a case excludes. A single
+// and warm-up lengths, and whether a case excludes lockstep. A single
 // definition keeps the committed trajectory comparable with
 // `go test -bench` numbers and with farm sweeps of the same names.
 package benchscen
@@ -30,10 +30,6 @@ type Scenario struct {
 	// SkipLockstep excludes the lockstep engine (on the largest
 	// layouts it is pure waiting).
 	SkipLockstep bool
-	// SkipParallel excludes the parallel engine (the small-layout
-	// engine-regime cases: with one or two nodes the fork has nothing
-	// to shard, so the rows would only re-measure async).
-	SkipParallel bool
 }
 
 // New builds the machine, workload spawned, on the given engine.
@@ -47,18 +43,16 @@ func (s Scenario) New(e machine.Engine) *machine.Machine {
 
 // Skips reports whether the scenario excludes an engine.
 func (s Scenario) Skips(e machine.Engine) bool {
-	return s.SkipLockstep && e == machine.EngineLockstep ||
-		s.SkipParallel && e == machine.EngineParallel
+	return s.SkipLockstep && e == machine.EngineLockstep
 }
 
-func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep, skipParallel bool) Scenario {
+func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep bool) Scenario {
 	return Scenario{
 		Name:         name,
 		Spec:         scenario.MustNamed(name),
 		SimChunkMS:   chunkMS,
 		WarmupMS:     warmupMS,
 		SkipLockstep: skipLockstep,
-		SkipParallel: skipParallel,
 	}
 }
 
@@ -73,10 +67,10 @@ func fromCatalog(name string, chunkMS, warmupMS int64, skipLockstep, skipParalle
 // hot mixed workload).
 func Engines() []Scenario {
 	return []Scenario{
-		fromCatalog("engines/idle-heavy", 10_000, 5_000, false, true),
-		fromCatalog("engines/steady-state", 10_000, 5_000, false, true),
-		fromCatalog("engines/churn-heavy", 10_000, 5_000, false, true),
-		fromCatalog("engines/dvfs-thermal", 10_000, 5_000, false, true),
+		fromCatalog("engines/idle-heavy", 10_000, 5_000, false),
+		fromCatalog("engines/steady-state", 10_000, 5_000, false),
+		fromCatalog("engines/churn-heavy", 10_000, 5_000, false),
+		fromCatalog("engines/dvfs-thermal", 10_000, 5_000, false),
 	}
 }
 
@@ -96,13 +90,13 @@ func Large() []Scenario {
 	for _, name := range []string{"64cpu", "256cpu", "1024cpu"} {
 		skip := name != "64cpu"
 		out = append(out,
-			fromCatalog("large/"+name+"/mostly-idle", 5_000, 3_000, skip, false),
-			fromCatalog("large/"+name+"/saturated", 5_000, 3_000, skip, false),
+			fromCatalog("large/"+name+"/mostly-idle", 5_000, 3_000, skip),
+			fromCatalog("large/"+name+"/saturated", 5_000, 3_000, skip),
 		)
 	}
 	out = append(out,
-		fromCatalog("large/256cpu/wide-idle", 5_000, 3_000, true, false),
-		fromCatalog("large/1024cpu/wide-idle", 5_000, 3_000, true, false),
+		fromCatalog("large/256cpu/wide-idle", 5_000, 3_000, true),
+		fromCatalog("large/1024cpu/wide-idle", 5_000, 3_000, true),
 	)
 	return out
 }

@@ -46,7 +46,9 @@ import (
 // images with any other version; the format is not forward- or
 // backward-compatible across versions. Version 2 renumbered Engine
 // (EngineAsync became the zero value), so a version-1 image's
-// Cfg.Engine would restore onto the wrong engine.
+// Cfg.Engine would restore onto the wrong engine. An image whose
+// Cfg.Engine names the retired parallel engine (3) fails New's engine
+// check at restore.
 const CheckpointVersion = 2
 
 // taskSnapshot is one task's complete state: the scheduler's view
@@ -107,7 +109,7 @@ type dvfsSnapshot struct {
 	DownTicks  []int64
 }
 
-// asyncSnapshot is the async/parallel engines' parking and lazy-settle
+// asyncSnapshot is the async engine's parking and lazy-settle
 // state. The live-CPU/live-core bitmaps are not stored: they are a pure
 // function of (parked, thrDormant, pkgParked) and are recomputed at
 // restore per the same invariant the oracle checks.

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"energysched/internal/rng"
@@ -9,13 +11,13 @@ import (
 )
 
 // TestCheckpointRoundTrip checkpoints every equivalence scenario at a
-// pseudo-random mid-run instant on all four engines, restores, and
+// pseudo-random mid-run instant on all three engines, restores, and
 // asserts the restored machine is indistinguishable from the original
 // continuing uninterrupted: byte-identical event traces over the
 // remainder, a tol-0 snapshot diff at the end, and byte-identical
 // final checkpoints.
 func TestCheckpointRoundTrip(t *testing.T) {
-	engines := []Engine{EngineBatched, EngineLockstep, EngineAsync, EngineParallel}
+	engines := []Engine{EngineBatched, EngineLockstep, EngineAsync}
 	for si, sc := range engineScenarios() {
 		for _, e := range engines {
 			sc, si, e := sc, si, e
@@ -134,5 +136,31 @@ func TestBranchDivergence(t *testing.T) {
 	dm := runAndSnap(m)
 	if !bytes.Equal(dm, d4) {
 		t.Error("parent diverged from its own un-reseeded branch")
+	}
+}
+
+// TestRestoreRejectsRetiredEngine: an image whose Cfg.Engine is 3, the
+// value the retired parallel engine had, must fail Restore with an
+// error — never panic, never run on some other engine.
+func TestRestoreRejectsRetiredEngine(t *testing.T) {
+	m := engineScenarios()[1].build(EngineAsync)
+	m.Run(2000)
+	st := m.captureState()
+	st.Cfg.Engine = 3
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Restore panicked: %v", r)
+		}
+	}()
+	got, err := Restore(buf.Bytes(), nil)
+	if err == nil {
+		t.Fatalf("Restore accepted engine 3, running %v", got.Cfg.Engine)
+	}
+	if !strings.Contains(err.Error(), "unknown engine 3") {
+		t.Errorf("Restore error %q does not name the engine", err)
 	}
 }

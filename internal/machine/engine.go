@@ -33,9 +33,7 @@ func (m *Machine) Run(durationMS int64) {
 	switch m.Cfg.Engine {
 	case EngineLockstep:
 		m.runLockstep(durationMS)
-	case EngineAsync, EngineParallel:
-		// The parallel engine shares the async driver: the fork-join
-		// sharding lives entirely inside step (see parallel.go).
+	case EngineAsync:
 		m.runAsync(durationMS)
 	default:
 		m.runBatched(durationMS)
@@ -169,22 +167,16 @@ func (m *Machine) step(limitMS int64) int64 {
 		}
 	}
 	// The per-CPU half of the decision: halt or run, then the SMT,
-	// warmup, and DVFS speed factors. Under the default policy the loop
-	// bodies are free of ordered side effects (trace edges are deferred
-	// to haltEdgePass), so the parallel engine runs them per node
-	// shard; the §2.3 task-throttling policy rotates runqueues and
-	// interleaves trace events per CPU, so it keeps the serial loop on
-	// every engine.
+	// warmup, and DVFS speed factors. Under the default policy the
+	// trace edges are deferred to haltEdgePass; the §2.3
+	// task-throttling policy rotates runqueues and interleaves trace
+	// events per CPU in one loop.
 	if m.Cfg.TaskThrottling {
 		m.resolveHaltsTaskThrottling(throttledStep)
 		m.smtScaleOn(m.stepCPUs())
 	} else {
-		if m.par != nil {
-			m.par.fork(m, secSpeed, throttledStep, 0, 0, 0)
-		} else {
-			m.haltDecideOn(m.stepCPUs(), throttledStep)
-			m.smtScaleOn(m.stepCPUs())
-		}
+		m.haltDecideOn(m.stepCPUs(), throttledStep)
+		m.smtScaleOn(m.stepCPUs())
 		m.haltEdgePass(throttledStep)
 	}
 
@@ -245,37 +237,17 @@ func (m *Machine) step(limitMS int64) int64 {
 	// tasks' respawns) are deferred until after the sweep (activateCPU),
 	// so they always land behind the cursor and the deferred CPU's
 	// quantum folds through the identical closed-form settle.
-	// The sweep is split into a per-CPU compute half and a canonical-
-	// order commit: compute integrates each CPU's workload, counters,
-	// metric, and per-unit power (all CPU-local state) and stages the
-	// global-accumulator terms and task transition; execCommit then
-	// folds the staged effects walking the active list ascending. No
-	// commit action can change another CPU's compute within the same
-	// quantum (dispatches, profile samples, placement records, wake
-	// queue, and deadline arming are only read by later phases or later
-	// quanta), so compute-then-commit is bit-identical to the historical
-	// fused loop — the compute half is what the parallel engine runs
-	// per node shard, with the commit serialized behind the barrier.
-	// The serial engines interleave commit right behind each CPU's
-	// compute (the historical order, same result, one pass of locality
-	// instead of two).
 	//
 	// Every CPU folds this quantum's average power over the same fdt, so
 	// the variable-period sample weight is computed once for the sweep
 	// (per tracker when calibrations differ across packages).
 	quantW := m.thermWeightFor(0, fdt)
-	if m.par != nil {
-		m.par.fork(m, secExec, throttledStep, dt, fdt, quantW)
-		m.execCommit(m.stepCPUs(), fdt, endMS)
-	} else {
-		nominal := 0
-		if m.dvfsOn {
-			nominal = m.dvfsCfg.Ladder.Max()
-		}
-		for _, c32 := range m.stepCPUs() {
-			m.execComputeCPU(int(c32), &m.tickScratch, throttledStep, dt, fdt, quantW, nominal)
-			m.execCommitCPU(int(c32), fdt, endMS)
-		}
+	nominal := 0
+	if m.dvfsOn {
+		nominal = m.dvfsCfg.Ladder.Max()
+	}
+	for _, c32 := range m.stepCPUs() {
+		m.execCPU(int(c32), throttledStep, dt, fdt, quantW, nominal, endMS)
 	}
 
 	// 7. Thermal model: each core integrates its own true power plus a
@@ -306,19 +278,7 @@ func (m *Machine) step(limitMS int64) int64 {
 		m.Spawn(prog)
 	}
 	m.respawnQ = m.respawnQ[:0]
-	// Thermal state is node-local through and through — a core's RC
-	// node reads only its own package's core powers (all in one shard;
-	// shards never split a package) — so the integration runs per node
-	// shard, with only the peak-temperature fold merged serially (max
-	// is exact, so the merge order cannot matter).
-	if m.par != nil {
-		m.par.fork(m, secTherm, nil, dt, fdt, 0)
-		for _, pk := range m.par.peaks {
-			if pk > m.peakTempC {
-				m.peakTempC = pk
-			}
-		}
-	} else if pk := m.thermalOn(m.stepCoreList(), dt, fdt); pk > m.peakTempC {
+	if pk := m.thermalOn(m.stepCoreList(), dt, fdt); pk > m.peakTempC {
 		m.peakTempC = pk
 	}
 
@@ -494,7 +454,7 @@ func (m *Machine) throttledCPUs() []bool {
 // under the default (CPU-level) throttling policy: an occupied,
 // un-parked CPU runs at speed 1 unless its throttle group engaged.
 // Trace edges and prevHalt updates are deferred to haltEdgePass, so the
-// loop body is CPU-local and the parallel engine can run it per shard.
+// loop body is CPU-local.
 func (m *Machine) haltDecideOn(cpus []int32, throttledStep []bool) {
 	for _, c32 := range cpus {
 		c := int(c32)
@@ -511,16 +471,16 @@ func (m *Machine) haltDecideOn(cpus []int32, throttledStep []bool) {
 	}
 }
 
-// resolveHaltsTaskThrottling is the serial phase-3 loop of the §2.3
-// hot-task policy: only tasks responsible for the overheating are
-// halted; a cool task keeps running even while the throttle is engaged.
-// A hot task at the head of the queue is rotated away (its slice ends)
-// so cool queue-mates are not starved behind it; the CPU halts this
-// tick only if the queue's head is still hot. The rotation mutates
-// runqueues and interleaves its trace events with the halt edges, so
-// this path runs serially on every engine — the batched planner
-// degrades to 1 ms quanta while any throttle is engaged under this
-// policy, so the per-tick rotation runs exactly as in lockstep.
+// resolveHaltsTaskThrottling is the phase-3 loop of the §2.3 hot-task
+// policy: only tasks responsible for the overheating are halted; a cool
+// task keeps running even while the throttle is engaged. A hot task at
+// the head of the queue is rotated away (its slice ends) so cool
+// queue-mates are not starved behind it; the CPU halts this tick only
+// if the queue's head is still hot. The rotation mutates runqueues and
+// interleaves its trace events with the halt edges in one loop. The
+// batched planner degrades to 1 ms quanta while any throttle is engaged
+// under this policy, so the per-tick rotation runs exactly as in
+// lockstep.
 func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 	for _, c32 := range m.stepCPUs() {
 		c := int(c32)
@@ -560,10 +520,9 @@ func (m *Machine) resolveHaltsTaskThrottling(throttledStep []bool) {
 
 // smtScaleOn applies the phase-4/4b speed factors to the given CPUs.
 // SMT contention: a logical CPU executing alongside a busy sibling runs
-// at the slowdown factor — siblings share a core, a core never spans
-// shards, and the busy/idle predicate the check reads is invariant
-// under every later scaling (slowdown, warmup, and DVFS factors are all
-// > 0), so per-shard execution is order-identical to the global loop.
+// at the slowdown factor; the busy/idle predicate the check reads is
+// invariant under every later scaling (slowdown, warmup, and DVFS
+// factors are all > 0), so the order CPUs are visited in cannot matter.
 // Cache-warmup penalties after a migration (§4.1) fold in next, then
 // the P-state's f/f_max factor composes multiplicatively (the SMT check
 // deliberately ran on the unscaled speeds: a sibling contends for the
@@ -611,7 +570,7 @@ func (m *Machine) smtScaleOn(cpus []int32) {
 
 // haltEdgePass emits the throttle-edge trace events and updates
 // prevHalt in canonical ascending-CPU order once the halt decisions
-// (possibly sharded) have all resolved. It visits exactly the CPUs the
+// have all resolved. It visits exactly the CPUs the
 // decision loop reached — occupied and un-parked — and under the
 // default policy the decision never rewrites throttledStep, so reading
 // it here sees the engage pass's values unchanged.
@@ -633,175 +592,121 @@ func (m *Machine) haltEdgePass(throttledStep []bool) {
 	}
 }
 
-// Staged task transitions of the execution sweep (p6stat values): the
-// compute half records what the quantum did to each CPU's dispatch and
-// execCommit replays the consequences in canonical order.
-const (
-	p6Idle = iota + 1
-	p6Run
-	p6Finish
-	p6Block
-)
-
-// execComputeOn is the compute half of the phase-6 execution sweep for
-// the given CPUs: integrate the quantum into each CPU's workload,
-// counter banks, utilization, thermal-power metric, and per-unit power
-// (all CPU- or core-local — SMT siblings share a core and therefore a
-// shard), and stage the global-accumulator terms (true energy,
-// estimation error) plus the task transition for execCommit. The
-// per-tick halted/downclocked occupancy counters fold in here too:
-// they are per-CPU and depend only on pre-sweep state.
-func (m *Machine) execComputeOn(cpus []int32, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64) {
-	nominal := 0
-	if m.dvfsOn {
-		nominal = m.dvfsCfg.Ladder.Max()
+// execCPU is the phase-6 execution sweep for one CPU: integrate the
+// quantum into its workload, counter banks, utilization, thermal-power
+// metric, and per-unit power, fold its true-energy, estimation-error,
+// and work terms into the global accumulators, then apply the task
+// transition the quantum produced (finish, block, or slice expiry) with
+// its trace events. The per-tick halted/downclocked occupancy counters
+// fold in here too: they are per-CPU and depend only on pre-sweep
+// state. Called for the active list in ascending order, so every
+// accumulator's add chain and the event sequence are the same on every
+// engine.
+func (m *Machine) execCPU(c int, throttledStep []bool, dt int64, fdt, quantW float64, nominal int, endMS int64) {
+	cpu := topology.CPUID(c)
+	rq := m.Sched.RQ(cpu)
+	speed := m.execSpeed[c]
+	if !m.thermWShared {
+		quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
 	}
-	for _, c32 := range cpus {
-		m.execComputeCPU(int(c32), tickRes, throttledStep, dt, fdt, quantW, nominal)
+	if throttledStep[c] && rq.Current != nil {
+		m.haltedTicks[c] += dt
 	}
-}
-
-// execComputeCPU is execComputeOn for one CPU.
-func (m *Machine) execComputeCPU(c int, tickRes *workload.TickResult, throttledStep []bool, dt int64, fdt, quantW float64, nominal int) {
-	{
-		cpu := topology.CPUID(c)
-		rq := m.Sched.RQ(cpu)
-		speed := m.execSpeed[c]
-		if !m.thermWShared {
-			quantW = m.Sched.Power[c].ThermalWeightFor(fdt)
-		}
-		if throttledStep[c] && rq.Current != nil {
-			m.haltedTicks[c] += dt
-		}
-		if speed == 0 {
-			// Idle or halted: sleep power only (hlt power does not
-			// depend on the P-state).
-			m.truePower[c] = m.idleShareW
-			m.p6true[c] = m.idleShareW * fdt / 1000
-			m.p6stat[c] = p6Idle
-			m.Sched.Power[c].AddEnergyWeighted(m.estIdleJ*fdt, fdt, quantW)
-			if rq.Current == nil {
-				m.idleTicks[c] += dt
-			} else if m.govPeriod > 0 {
-				// Halted with a runnable task: occupied, not idle.
-				// (Utilization feeds only active governors — skip the
-				// tracker when no governor evaluates.)
-				m.Sched.Util[c].AddBusy(fdt)
-			}
-			return
-		}
-		if m.dvfsOn && m.freqIdx[c] < nominal {
-			// Downclocked occupancy — the DVFS counterpart of
-			// haltedTicks: ticks an occupied CPU actually ran below the
-			// nominal frequency. The busy branch excludes throttle-
-			// halted ticks, which haltedTicks already counts — the two
-			// enforcement signatures partition the time instead of
-			// overlapping.
-			m.downTicks[c] += dt
-		}
-		d := &m.dispatches[c]
-		task := d.task
-		if task.st.WarmupLeft > 0 {
-			task.st.WarmupLeft -= fdt
-		}
-		task.work.TickInto(tickRes, speed, fdt)
-		if m.govPeriod > 0 {
+	if speed == 0 {
+		// Idle or halted: sleep power only (hlt power does not
+		// depend on the P-state).
+		m.truePower[c] = m.idleShareW
+		m.Sched.Power[c].AddEnergyWeighted(m.estIdleJ*fdt, fdt, quantW)
+		if rq.Current == nil {
+			m.idleTicks[c] += dt
+		} else if m.govPeriod > 0 {
+			// Halted with a runnable task: occupied, not idle.
+			// (Utilization feeds only active governors — skip the
+			// tracker when no governor evaluates.)
 			m.Sched.Util[c].AddBusy(fdt)
 		}
-		m.banks[c].AccumulateFrom(&tickRes.Counts)
-		d.counts.Accum(&tickRes.Counts)
-		d.ranMS += fdt
-
-		// The P-state's energy factor: event counts already shrank by
-		// f/f_max through the execution speed, so scaling each count's
-		// energy by (V/V_max)² realizes the full f·V² dynamic-power
-		// law. 1 when DVFS is off or the CPU is at the nominal state.
-		ps := 1.0
-		if m.dvfsOn {
-			ps = m.powScale[c]
+		if m.async {
+			m.phase6CPU = c
 		}
-		task.st.SliceLeft -= fdt
+		m.TrueEnergyJ += m.idleShareW * fdt / 1000
+		return
+	}
+	if m.dvfsOn && m.freqIdx[c] < nominal {
+		// Downclocked occupancy — the DVFS counterpart of
+		// haltedTicks: ticks an occupied CPU actually ran below the
+		// nominal frequency. The busy branch excludes throttle-
+		// halted ticks, which haltedTicks already counts — the two
+		// enforcement signatures partition the time instead of
+		// overlapping.
+		m.downTicks[c] += dt
+	}
+	tickRes := &m.tickScratch
+	d := &m.dispatches[c]
+	task := d.task
+	if task.st.WarmupLeft > 0 {
+		task.st.WarmupLeft -= fdt
+	}
+	task.work.TickInto(tickRes, speed, fdt)
+	if m.govPeriod > 0 {
+		m.Sched.Util[c].AddBusy(fdt)
+	}
+	m.banks[c].AccumulateFrom(&tickRes.Counts)
+	d.counts.Accum(&tickRes.Counts)
+	d.ranMS += fdt
 
-		trueJ := m.Model.EnergyJExact(tickRes.Exact, 0) * ps
-		m.truePower[c] = trueJ * 1000 / fdt
-		m.p6true[c] = trueJ
-		if m.unitPower != nil {
-			ue := units.SplitExact(m.Model.Weights, tickRes.Exact)
-			core := int(m.coreOfCPU[c])
+	// The P-state's energy factor: event counts already shrank by
+	// f/f_max through the execution speed, so scaling each count's
+	// energy by (V/V_max)² realizes the full f·V² dynamic-power
+	// law. 1 when DVFS is off or the CPU is at the nominal state.
+	ps := 1.0
+	if m.dvfsOn {
+		ps = m.powScale[c]
+	}
+	task.st.SliceLeft -= fdt
+
+	trueJ := m.Model.EnergyJExact(tickRes.Exact, 0) * ps
+	m.truePower[c] = trueJ * 1000 / fdt
+	if m.unitPower != nil {
+		ue := units.SplitExact(m.Model.Weights, tickRes.Exact)
+		core := int(m.coreOfCPU[c])
+		for u := range ue {
+			m.unitPower[core][u] += ue[u] * ps * 1000 / fdt
+		}
+	}
+	estJ := m.Est.EnergyJExact(tickRes.Exact, 0) * ps
+	m.Sched.Power[c].AddEnergyWeighted(estJ, fdt, quantW)
+	if m.dvfsOn {
+		// The kernel knows its own P-state residency, so per-
+		// dispatch profile energy accumulates frequency-scaled
+		// exact estimates (integer counter deltas cannot be
+		// rescaled after the fact once states changed mid-slice).
+		d.estJ += estJ
+		if ps != 1 {
+			d.scaled = true
+		}
+		if task.st.Units != nil {
+			ue := units.SplitExact(m.Est.Weights, tickRes.Exact)
 			for u := range ue {
-				m.unitPower[core][u] += ue[u] * ps * 1000 / fdt
+				d.estUnitsJ[u] += ue[u] * ps
 			}
-		}
-		estJ := m.Est.EnergyJExact(tickRes.Exact, 0) * ps
-		// Within a quantum the event rates are constant, so the sign of
-		// the per-event estimation error is too: |est−true| integrated
-		// per quantum equals the per-millisecond integral, keeping the
-		// metric partition-invariant across engines.
-		m.p6err[c] = math.Abs(estJ - trueJ)
-		m.Sched.Power[c].AddEnergyWeighted(estJ, fdt, quantW)
-		if m.dvfsOn {
-			// The kernel knows its own P-state residency, so per-
-			// dispatch profile energy accumulates frequency-scaled
-			// exact estimates (integer counter deltas cannot be
-			// rescaled after the fact once states changed mid-slice).
-			d.estJ += estJ
-			if ps != 1 {
-				d.scaled = true
-			}
-			if task.st.Units != nil {
-				ue := units.SplitExact(m.Est.Weights, tickRes.Exact)
-				for u := range ue {
-					d.estUnitsJ[u] += ue[u] * ps
-				}
-			}
-		}
-
-		switch tickRes.Status {
-		case workload.Finished:
-			m.p6stat[c] = p6Finish
-		case workload.Blocked:
-			m.p6stat[c] = p6Block
-			m.p6block[c] = tickRes.BlockMS
-		default:
-			m.p6stat[c] = p6Run
 		}
 	}
-}
 
-// execCommit applies the execution sweep's staged effects walking the
-// active list ascending — the canonical order. The global accumulators
-// fold per-CPU terms in exactly the sequence the historical fused sweep
-// produced them (each accumulator's add chain is bit-identical), and
-// the queue-mutating task transitions (finish, block, slice expiry)
-// run with their trace events in the same order on every engine and at
-// every shard count.
-func (m *Machine) execCommit(cpus []int32, fdt float64, endMS int64) {
-	for _, c32 := range cpus {
-		m.execCommitCPU(int(c32), fdt, endMS)
-	}
-}
-
-// execCommitCPU is execCommit for one CPU.
-func (m *Machine) execCommitCPU(c int, fdt float64, endMS int64) {
 	if m.async {
 		m.phase6CPU = c
 	}
-	stat := m.p6stat[c]
-	m.p6stat[c] = 0
-	if stat == p6Idle {
-		m.TrueEnergyJ += m.p6true[c]
-		return
-	}
-	m.WorkDoneMS += m.execSpeed[c] * fdt
-	m.TrueEnergyJ += m.p6true[c]
-	m.EstimationErrJ += m.p6err[c]
-	cpu := topology.CPUID(c)
-	task := m.dispatches[c].task
-	switch stat {
-	case p6Finish:
+	m.WorkDoneMS += speed * fdt
+	m.TrueEnergyJ += trueJ
+	// Within a quantum the event rates are constant, so the sign of
+	// the per-event estimation error is too: |est−true| integrated
+	// per quantum equals the per-millisecond integral, keeping the
+	// metric partition-invariant across engines.
+	m.EstimationErrJ += math.Abs(estJ - trueJ)
+	switch tickRes.Status {
+	case workload.Finished:
 		m.finishTask(cpu, task, endMS)
-	case p6Block:
-		m.blockTask(cpu, task, m.p6block[c], endMS)
+	case workload.Blocked:
+		m.blockTask(cpu, task, tickRes.BlockMS, endMS)
 	default:
 		if task.st.SliceLeft <= 0 {
 			m.endTimeslice(cpu, endMS)
@@ -811,9 +716,8 @@ func (m *Machine) execCommitCPU(c int, fdt float64, endMS int64) {
 
 // thermalOn runs the phase-7 thermal integration over the given cores
 // and returns their peak end-of-quantum temperature (−Inf when the
-// list is empty). Everything it reads is package-local — a core's
-// coupled effective power sums its chip neighbours' raw powers, and a
-// package never spans shards — so per-shard execution is exact.
+// list is empty). Everything it reads is package-local: a core's
+// coupled effective power sums its chip neighbours' raw powers.
 func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
 	threads := m.Cfg.Layout.ThreadsPerPackage
 	for _, core32 := range cores {

@@ -467,14 +467,11 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// TestEngineEquivalence runs every scenario through all four engines
+// TestEngineEquivalence runs every scenario through all three engines
 // and asserts the acceptance contract against the lockstep reference:
 // exactly equal discrete outcomes (completions, migrations with their
 // timestamps and reasons, throttle decisions, idle/halted ticks),
-// ≤1e-6 relative difference on temperatures and energies. The parallel
-// engine runs twice — at the default one-shard-per-node partition and
-// repartitioned to a single shard — pinning the determinism contract
-// that the shard count is unobservable.
+// ≤1e-6 relative difference on temperatures and energies.
 func TestEngineEquivalence(t *testing.T) {
 	for _, sc := range engineScenarios() {
 		// The slow lockstep reference runs once per scenario; every
@@ -485,23 +482,9 @@ func TestEngineEquivalence(t *testing.T) {
 		lock.Cfg.Trace = trace.New(0)
 		lock.Run(sc.runMS)
 		lockCSV := traceCSV(t, lock.Cfg.Trace)
-		for _, v := range []struct {
-			engine Engine
-			shards int // EngineParallel repartition (0 keeps the default)
-			name   string
-		}{
-			{EngineBatched, 0, "batched"},
-			{EngineAsync, 0, "async"},
-			{EngineParallel, 0, "parallel"},
-			{EngineParallel, 1, "parallel-1shard"},
-		} {
-			t.Run(sc.name+"/"+v.name, func(t *testing.T) {
-				got := sc.build(v.engine)
-				if v.shards != 0 {
-					if err := got.SetShards(v.shards); err != nil {
-						t.Fatal(err)
-					}
-				}
+		for _, e := range []Engine{EngineBatched, EngineAsync} {
+			t.Run(sc.name+"/"+e.String(), func(t *testing.T) {
+				got := sc.build(e)
 				got.Cfg.Trace = trace.New(0)
 				// Advance in chunks to also exercise Run-boundary
 				// clamping (and, for async, the end-of-Run settling).
@@ -512,7 +495,7 @@ func TestEngineEquivalence(t *testing.T) {
 					got.Run(rem)
 				}
 				assertEquivalent(t, lock, got)
-				if sc.check != nil && v.engine != EngineParallel {
+				if sc.check != nil {
 					sc.check(t, got)
 				}
 				if gotCSV := traceCSV(t, got.Cfg.Trace); gotCSV != lockCSV {
@@ -521,6 +504,46 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunChunkingStormServer1024 pins Run-boundary invariance on an
+// oversubscribed 1024-CPU machine under a migration/respawn storm —
+// short CPU-bound tasks finishing and respawning continuously, hot-task
+// migration and energy balancing active, per-package throttles
+// engaging: four Run(300) calls on the async engine must end in exactly
+// the state of one Run(1200).
+func TestRunChunkingStormServer1024(t *testing.T) {
+	cat := catalog()
+	build := func() *Machine {
+		m := MustNew(Config{
+			Engine: EngineAsync, Layout: topology.Server1024(),
+			Sched: sched.DefaultConfig(), Seed: 29,
+			PackageMaxPowerW: []float64{130}, ThrottleEnabled: true,
+			Scope: ThrottlePerPackage, MonitorPeriodMS: 500,
+			RespawnFinished: true,
+		})
+		// Oversubscribed: ~1.2 tasks per CPU, so runqueues have depth
+		// and the balancers actually move tasks.
+		m.SpawnN(workload.WithWork(cat.Bitcnts(), 350), 700)
+		m.SpawnN(workload.WithWork(cat.Memrw(), 250), 500)
+		m.SpawnN(cat.Sshd(), 64)
+		return m
+	}
+	got := build()
+	for i := 0; i < 4; i++ {
+		got.Run(300)
+	}
+	if got.Completions == 0 {
+		t.Fatal("storm produced no completions; the stress is not stressing")
+	}
+	if got.MigrationCount() == 0 {
+		t.Fatal("storm produced no migrations; the stress is not stressing")
+	}
+	ref := build()
+	ref.Run(1200)
+	if diffs := DiffSnapshots(ref.Snapshot(), got.Snapshot(), 0); len(diffs) > 0 {
+		t.Errorf("chunked storm diverged from one Run: %v", diffs)
 	}
 }
 
@@ -708,14 +731,18 @@ func TestBatchedEngineQuantaAreLarge(t *testing.T) {
 // TestEngineString covers the Engine stringer.
 func TestEngineString(t *testing.T) {
 	if EngineBatched.String() != "batched" || EngineLockstep.String() != "lockstep" ||
-		EngineAsync.String() != "async" || EngineParallel.String() != "parallel" {
+		EngineAsync.String() != "async" {
 		t.Error("engine names wrong")
 	}
-	for _, name := range []string{"batched", "lockstep", "async", "parallel"} {
+	for _, name := range []string{"batched", "lockstep", "async"} {
 		e, err := ParseEngine(name)
 		if err != nil || e.String() != name {
 			t.Errorf("ParseEngine(%q) = %v, %v", name, e, err)
 		}
+	}
+	// The retired parallel engine's name is an input alias for async.
+	if e, err := ParseEngine("parallel"); err != nil || e != EngineAsync {
+		t.Errorf("ParseEngine(%q) = %v, %v; want async", "parallel", e, err)
 	}
 	if _, err := ParseEngine("turbo"); err == nil {
 		t.Error("ParseEngine accepted an unknown engine")

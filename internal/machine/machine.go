@@ -18,14 +18,13 @@
 //  6. handles timeslice expiry, blocking, and completion,
 //  7. runs due balancer and hot-task-migration deadlines.
 //
-// Four engines drive that step (see Engine): the lockstep engine
+// Three engines drive that step (see Engine): the lockstep engine
 // fixes the quantum at 1 ms — the classic tick loop; the batched
 // engine plans, per step, the largest quantum over which the machine
 // state is provably constant (see batched.go) and integrates it in
-// one pass; the async engine, the default, adds per-CPU clocks on top
-// of the batched planner (see async.go), parking idle CPUs entirely
-// and settling their state lazily when observed; and the parallel
-// engine shards the async step across goroutines (see parallel.go).
+// one pass; and the async engine, the default, adds per-CPU clocks on
+// top of the batched planner (see async.go), parking idle CPUs
+// entirely and settling their state lazily when observed.
 // The engines produce equivalent results for the same seed; batched
 // is several times faster than lockstep, and async several times
 // faster again on machines that are mostly idle.
@@ -102,33 +101,22 @@ const (
 	// every logical CPU is simulated individually. It serves as the
 	// reference for cross-engine equivalence tests and as a fallback.
 	EngineLockstep
-	// EngineParallel is the async engine with its data-parallel step
-	// phases sharded along topology.Node boundaries and executed on
-	// real goroutines (parallel.go): halt/SMT/DVFS speed resolution,
-	// the execution/energy compute, and the thermal RC integration run
-	// per node shard, while cross-node work (balancing deadlines,
-	// hot-task migration, placement, throttle accounting, the
-	// recalibration loop) and the canonical-order commit of staged
-	// per-CPU effects stay serial. The merge is deterministic:
-	// byte-identical traces and bit-identical metrics to EngineAsync at
-	// every shard count (Config.Shards; default topology Nodes).
-	EngineParallel
 )
 
 // ParseEngine parses an engine name — the values accepted by the CLI
-// tools' -engine flags.
+// tools' -engine flags. "parallel" names the retired sharded engine,
+// which was bit-identical to async; it parses as EngineAsync so
+// existing flags, scripts, and farm requests keep working.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "batched":
 		return EngineBatched, nil
 	case "lockstep":
 		return EngineLockstep, nil
-	case "async":
+	case "async", "parallel":
 		return EngineAsync, nil
-	case "parallel":
-		return EngineParallel, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want lockstep, batched, async, or parallel)", s)
+	return 0, fmt.Errorf("unknown engine %q (want async, batched, or lockstep)", s)
 }
 
 // String names the engine.
@@ -140,8 +128,6 @@ func (e Engine) String() string {
 		return "lockstep"
 	case EngineAsync:
 		return "async"
-	case EngineParallel:
-		return "parallel"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
 }
@@ -176,14 +162,6 @@ type Config struct {
 	// MaxQuantumMS caps the batched engine's quantum; 0 selects
 	// DefaultMaxQuantumMS. Ignored by the lockstep engine.
 	MaxQuantumMS int
-	// Shards is the number of node shards EngineParallel partitions the
-	// machine into; 0 selects one shard per NUMA node. Values above the
-	// node count are clamped (a shard never splits a node, so the
-	// partition always aligns with package and SMT-core boundaries).
-	// Results are bit-identical at every shard count; Shards only moves
-	// the wall-clock/parallelism trade-off. Ignored by the serial
-	// engines.
-	Shards int
 	// Sched selects the scheduling policy.
 	Sched sched.Config
 	// Seed drives all randomness.
@@ -389,15 +367,6 @@ type Machine struct {
 	liveCoreBits   []uint64
 	stepListDirty  bool
 	stepCoresDirty bool
-	// stepListGen/stepCoresGen count list rematerializations, letting
-	// the parallel engine rebuild its per-shard sublists only when the
-	// global lists actually changed (see parallel.go).
-	stepListGen  uint64
-	stepCoresGen uint64
-
-	// Parallel-engine runtime (nil for every other engine; see
-	// parallel.go).
-	par *parEngine
 
 	// Async-engine state (see async.go; nil/zero for other engines).
 	async        bool
@@ -498,16 +467,6 @@ type Machine struct {
 	coreStartTemp   []float64 // per-core temperature at quantum start
 	throttleScratch []bool
 	xbarScratch     []float64 // per-CPU predicted metric feed (W)
-	// Execution-sweep staging: the compute half of phase 6 records each
-	// CPU's global-accumulator terms and task transition here, and
-	// execCommit folds them in canonical ascending-CPU order — the
-	// split that lets the compute half run per node shard while sums
-	// and trace events stay bit-identical to the serial sweep. Used by
-	// every engine so there is exactly one sweep implementation.
-	p6stat  []uint8   // per CPU: staged task transition (p6* consts)
-	p6true  []float64 // per CPU: true energy this quantum (J)
-	p6err   []float64 // per CPU: |est − true| energy this quantum (J)
-	p6block []float64 // per CPU: block duration when p6Block (ms)
 
 	// Metrics.
 	Completions       int64
@@ -638,17 +597,9 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	switch cfg.Engine {
-	case EngineBatched, EngineLockstep, EngineAsync, EngineParallel:
+	case EngineBatched, EngineLockstep, EngineAsync:
 	default:
 		return nil, fmt.Errorf("machine: unknown engine %d", int(cfg.Engine))
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("machine: Shards %d out of range", cfg.Shards)
-	}
-	if cfg.Engine == EngineParallel {
-		if cfg.Shards == 0 || cfg.Shards > cfg.Layout.Nodes {
-			cfg.Shards = cfg.Layout.Nodes
-		}
 	}
 	capExplicit := cfg.MaxQuantumMS != 0
 	if cfg.MaxQuantumMS == 0 {
@@ -679,10 +630,6 @@ func New(cfg Config) (*Machine, error) {
 		coreEff:           make([]float64, nCore),
 		coreStartTemp:     make([]float64, nCore),
 		xbarScratch:       make([]float64, nCPU),
-		p6stat:            make([]uint8, nCPU),
-		p6true:            make([]float64, nCPU),
-		p6err:             make([]float64, nCPU),
-		p6block:           make([]float64, nCPU),
 		CompletionsByProg: make(map[string]int64),
 		idleTicks:         make([]int64, nCPU),
 		haltedTicks:       make([]int64, nCPU),
@@ -937,13 +884,8 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	// Async parking state depends on the throttle groups built above.
-	// The parallel engine is the async engine plus sharded step phases,
-	// so it shares the whole parking/settling substrate.
-	if cfg.Engine == EngineAsync || cfg.Engine == EngineParallel {
+	if cfg.Engine == EngineAsync {
 		m.initAsync()
-	}
-	if cfg.Engine == EngineParallel {
-		m.initParallel()
 	}
 	return m, nil
 }

@@ -124,14 +124,6 @@ func (l Layout) Node(cpu CPUID) int { return l.Package(cpu) / l.PackagesPerNode 
 // NodeOfCore returns the NUMA node hosting the physical core.
 func (l Layout) NodeOfCore(core int) int { return core / l.Cores() / l.PackagesPerNode }
 
-// NodeShard maps a NUMA node to its shard index when the machine's
-// nodes are partitioned into shards contiguous groups (1 ≤ shards ≤
-// Nodes). Boundaries fall on node boundaries and group sizes differ by
-// at most one node, so a shard always owns whole packages and whole
-// SMT cores — the invariant the parallel engine's data partition
-// relies on.
-func (l Layout) NodeShard(node, shards int) int { return node * shards / l.Nodes }
-
 // CPUOfCore returns the logical CPU that is thread t of core c.
 func (l Layout) CPUOfCore(c, t int) CPUID { return CPUID(t*l.NumCores() + c) }
 
