@@ -15,16 +15,30 @@ import (
 // asserts the restored machine is indistinguishable from the original
 // continuing uninterrupted: byte-identical event traces over the
 // remainder, a tol-0 snapshot diff at the end, and byte-identical
-// final checkpoints.
+// final checkpoints. The retired "parallel" name, an alias of async,
+// runs too, with its own split point: a machine built from that name
+// must checkpoint and restore like any other.
 func TestCheckpointRoundTrip(t *testing.T) {
-	engines := []Engine{EngineBatched, EngineLockstep, EngineAsync}
+	engines := []struct {
+		name  string // as ParseEngine reads it
+		split uint64 // seeds the split point
+	}{
+		{"batched", uint64(EngineBatched)},
+		{"lockstep", uint64(EngineLockstep)},
+		{"async", uint64(EngineAsync)},
+		{"parallel", 3}, // the retired engine's value
+	}
 	for si, sc := range engineScenarios() {
-		for _, e := range engines {
-			sc, si, e := sc, si, e
-			t.Run(sc.name+"/"+e.String(), func(t *testing.T) {
+		for _, v := range engines {
+			sc, si, v := sc, si, v
+			t.Run(sc.name+"/"+v.name, func(t *testing.T) {
+				e, err := ParseEngine(v.name)
+				if err != nil {
+					t.Fatal(err)
+				}
 				// Deterministic per-(scenario, engine) split point in
 				// [1, runMS-1].
-				r := rng.New(uint64(si)<<8 | uint64(e) + 0xc0ffee)
+				r := rng.New(uint64(si)<<8 | v.split + 0xc0ffee)
 				k := 1 + int64(r.Uint64()%uint64(sc.runMS-1))
 				rest := sc.runMS - k
 
