@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"math/bits"
-
 	"energysched/internal/sched"
 	"energysched/internal/topology"
 )
@@ -191,10 +189,21 @@ func (m *Machine) stepCPUs() []int32 {
 		return m.allCPUs
 	}
 	if m.stepListDirty {
-		m.stepList = materialize(m.stepList[:0], m.liveCPUBits)
+		m.stepList = sched.AppendSetBits(m.stepList[:0], m.liveCPUBits)
 		m.stepListDirty = false
 	}
 	return m.stepList
+}
+
+// busyCPUs returns the CPUs whose runqueue is non-empty, ascending:
+// the deadline wheel's busy set on the event-driven engines, every CPU
+// on lockstep (the full-scan reference). Only these CPUs can dispatch,
+// run, halt, or bound a quantum by a running task's horizon.
+func (m *Machine) busyCPUs() []int32 {
+	if !m.eventDriven {
+		return m.allCPUs
+	}
+	return m.wheel.BusyCPUs()
 }
 
 // stepCoreList returns the cores whose thermal nodes step this quantum,
@@ -205,23 +214,10 @@ func (m *Machine) stepCoreList() []int32 {
 		return m.allCores
 	}
 	if m.stepCoresDirty {
-		m.stepCores = materialize(m.stepCores[:0], m.liveCoreBits)
+		m.stepCores = sched.AppendSetBits(m.stepCores[:0], m.liveCoreBits)
 		m.stepCoresDirty = false
 	}
 	return m.stepCores
-}
-
-// materialize appends the set bit indices of a membership bitmap to dst,
-// ascending.
-func materialize(dst []int32, words []uint64) []int32 {
-	for w, word := range words {
-		base := int32(w << 6)
-		for word != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return dst
 }
 
 // metricDormant reports whether a parked CPU's power metric is
@@ -462,7 +458,6 @@ func (m *Machine) parkIdleCPUs() {
 			m.nParked++
 			newParked = true
 			m.truePower[c] = m.idleShareW
-			m.execSpeed[c] = 0
 			if m.throttleOf[c] < 0 {
 				// No throttle group: the metric defers immediately and the
 				// CPU leaves the active list. Members of a live group stay

@@ -130,9 +130,9 @@ func (m *Machine) planQuantum(limit int64) int64 {
 	}
 
 	// Running-task horizons: timeslice expiry, warmup end, and the
-	// workload's rate/stop crossings. Parked and idle CPUs contribute
-	// nothing (no Current task).
-	for _, c32 := range m.stepCPUs() {
+	// workload's rate/stop crossings, over the busy set: idle CPUs have
+	// no Current task and contribute nothing.
+	for _, c32 := range m.busyCPUs() {
 		c := int(c32)
 		rq := m.Sched.RQs[c]
 		cur := rq.Current

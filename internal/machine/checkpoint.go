@@ -669,6 +669,18 @@ func applyState(st *machineState, rec *trace.Recorder) (*Machine, error) {
 
 	copy(m.prevHalt, st.PrevHalt)
 	copy(m.execSpeed, st.ExecSpeed)
+	if m.eventDriven {
+		// Phase 3 sets speeds on busy CPUs only, relying on every idle
+		// CPU's speed being 0 between steps. The step zeroes a CPU's
+		// speed when its queue empties; an image written before it did
+		// (same format) still holds the speed of the quantum in which
+		// the queue emptied, which no later phase reads.
+		for c, rq := range m.Sched.RQs {
+			if rq.Idle() {
+				m.execSpeed[c] = 0
+			}
+		}
+	}
 	copy(m.truePower, st.TruePower)
 	copy(m.idleTicks, st.IdleTicks)
 	copy(m.haltedTicks, st.HaltedTicks)

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,14 +11,18 @@ import (
 	"energysched/internal/trace"
 )
 
-// TestCheckpointRoundTrip checkpoints every equivalence scenario at a
-// pseudo-random mid-run instant on all three engines, restores, and
-// asserts the restored machine is indistinguishable from the original
-// continuing uninterrupted: byte-identical event traces over the
-// remainder, a tol-0 snapshot diff at the end, and byte-identical
-// final checkpoints. The retired "parallel" name, an alias of async,
-// runs too, with its own split point: a machine built from that name
-// must checkpoint and restore like any other.
+// TestCheckpointRoundTrip checkpoints every equivalence scenario on
+// all three engines, restores, and asserts the restored machine is
+// indistinguishable from the original continuing uninterrupted:
+// byte-identical event traces over the remainder, a tol-0 snapshot diff
+// at the end, and byte-identical final checkpoints. Each pair splits at
+// up to three instants: a pseudo-random mid-run one, and the ends of
+// the first quantum in which a task blocked or finished and of the
+// first in which the balancer or hot-task check migrated one — there a
+// CPU's queue may just have emptied, the state in which its execution
+// speed must already be zero. The retired "parallel" name, an alias of
+// async, runs too, with its own random split point: a machine built
+// from that name must checkpoint and restore like any other.
 func TestCheckpointRoundTrip(t *testing.T) {
 	engines := []struct {
 		name  string // as ParseEngine reads it
@@ -36,63 +41,108 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Deterministic per-(scenario, engine) split point in
-				// [1, runMS-1].
-				r := rng.New(uint64(si)<<8 | v.split + 0xc0ffee)
-				k := 1 + int64(r.Uint64()%uint64(sc.runMS-1))
-				rest := sc.runMS - k
-
-				m := sc.build(e)
-				m.Run(k)
-				data, err := m.Checkpoint()
-				if err != nil {
-					t.Fatalf("checkpoint at %d ms: %v", k, err)
+				t.Run("random", func(t *testing.T) {
+					// Deterministic per-(scenario, engine) split point
+					// in [1, runMS-1].
+					r := rng.New(uint64(si)<<8 | v.split + 0xc0ffee)
+					checkpointRoundTrip(t, sc, e, 1+int64(r.Uint64()%uint64(sc.runMS-1)))
+				})
+				if v.name == "parallel" {
+					return // same async machine and instant as /async
 				}
-				// Identical state must encode to identical bytes (the
-				// farm's image cache keys on content).
-				data2, err := m.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(data, data2) {
-					t.Fatalf("repeated checkpoint of an unchanged machine differs (%d vs %d bytes)", len(data), len(data2))
-				}
-
-				recB := trace.New(0)
-				m2, err := Restore(data, recB)
-				if err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				if err := m2.CheckInvariants(); err != nil {
-					t.Fatalf("restored machine violates invariants: %v", err)
-				}
-
-				recA := trace.New(0)
-				m.Cfg.Trace = recA
-				m.Run(rest)
-				m2.Run(rest)
-
-				a, b := traceCSV(t, recA), traceCSV(t, recB)
-				if a != b {
-					t.Errorf("post-restore trace differs (%d vs %d bytes): %s",
-						len(a), len(b), firstTraceDiff(a, b))
-				}
-				if diffs := DiffSnapshots(m.Snapshot(), m2.Snapshot(), 0); len(diffs) > 0 {
-					t.Errorf("snapshot diverged after restore: %v", diffs)
-				}
-				ca, err := m.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cb, err := m2.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ca, cb) {
-					t.Errorf("final checkpoints differ (%d vs %d bytes)", len(ca), len(cb))
-				}
+				t.Run("first-block", func(t *testing.T) {
+					k, ok := firstEventSplit(sc, e, trace.Block, trace.Finish)
+					if !ok {
+						t.Skip("no task blocks or finishes before the run's last tick")
+					}
+					checkpointRoundTrip(t, sc, e, k)
+				})
+				t.Run("first-migrate", func(t *testing.T) {
+					k, ok := firstEventSplit(sc, e, trace.Migrate)
+					if !ok {
+						t.Skip("no task migrates before the run's last tick")
+					}
+					checkpointRoundTrip(t, sc, e, k)
+				})
 			})
 		}
+	}
+}
+
+// firstEventSplit returns the instant just past the first quantum with
+// a trace event of one of the given kinds (blocks, finishes and
+// migrations stamp the quantum's last tick), if it falls inside the
+// scenario's run.
+func firstEventSplit(sc engineScenario, e Engine, kinds ...trace.Kind) (int64, bool) {
+	m := sc.build(e)
+	rec := trace.New(0)
+	m.Cfg.Trace = rec
+	for m.NowMS() < sc.runMS-1 {
+		m.Run(min(1000, sc.runMS-1-m.NowMS()))
+		for _, ev := range rec.Events() {
+			if slices.Contains(kinds, ev.Kind) {
+				return ev.TimeMS + 1, ev.TimeMS+1 < sc.runMS
+			}
+		}
+		rec.Reset()
+	}
+	return 0, false
+}
+
+// checkpointRoundTrip runs the scenario for k ms, checkpoints, restores,
+// and compares the restored machine with the original over the rest of
+// the run.
+func checkpointRoundTrip(t *testing.T, sc engineScenario, e Engine, k int64) {
+	t.Helper()
+	rest := sc.runMS - k
+	m := sc.build(e)
+	m.Run(k)
+	data, err := m.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint at %d ms: %v", k, err)
+	}
+	// Identical state must encode to identical bytes (the farm's image
+	// cache keys on content).
+	data2, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, data2) {
+		t.Fatalf("repeated checkpoint of an unchanged machine differs (%d vs %d bytes)", len(data), len(data2))
+	}
+
+	recB := trace.New(0)
+	m2, err := Restore(data, recB)
+	if err != nil {
+		t.Fatalf("restore at %d ms: %v", k, err)
+	}
+	if err := m2.CheckInvariants(); err != nil {
+		t.Fatalf("machine restored at %d ms violates invariants: %v", k, err)
+	}
+
+	recA := trace.New(0)
+	m.Cfg.Trace = recA
+	m.Run(rest)
+	m2.Run(rest)
+
+	a, b := traceCSV(t, recA), traceCSV(t, recB)
+	if a != b {
+		t.Errorf("split at %d ms: post-restore trace differs (%d vs %d bytes): %s",
+			k, len(a), len(b), firstTraceDiff(a, b))
+	}
+	if diffs := DiffSnapshots(m.Snapshot(), m2.Snapshot(), 0); len(diffs) > 0 {
+		t.Errorf("split at %d ms: snapshot diverged after restore: %v", k, diffs)
+	}
+	ca, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := m2.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ca, cb) {
+		t.Errorf("split at %d ms: final checkpoints differ (%d vs %d bytes)", k, len(ca), len(cb))
 	}
 }
 
@@ -176,5 +226,50 @@ func TestRestoreRejectsRetiredEngine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unknown engine 3") {
 		t.Errorf("Restore error %q does not name the engine", err)
+	}
+}
+
+// TestRestoreZeroesIdleSpeed: an image that holds a non-zero execution
+// speed on an idle CPU — what a CPU whose queue emptied in its last
+// quantum carried before the step zeroed it — restores to a machine
+// whose idle CPUs run at speed 0, and continues exactly like the
+// original. The busy-set phases never visit an idle CPU, so a stale
+// speed there would reach the execution sweep, which reads the CPU's
+// (absent) task.
+func TestRestoreZeroesIdleSpeed(t *testing.T) {
+	for _, e := range []Engine{EngineBatched, EngineAsync} {
+		m := engineScenarios()[0].build(e) // idle-heavy: mostly idle CPUs
+		m.Run(5000)
+		st := m.captureState()
+		stale := -1
+		for c, rq := range m.Sched.RQs {
+			if rq.Idle() {
+				stale = c
+				break
+			}
+		}
+		if stale < 0 {
+			t.Fatalf("%v: no idle CPU at 5000 ms", e)
+		}
+		st.ExecSpeed[stale] = 1
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		recB := trace.New(0)
+		m2, err := Restore(buf.Bytes(), recB)
+		if err != nil {
+			t.Fatalf("%v: restore: %v", e, err)
+		}
+		if err := m2.CheckInvariants(); err != nil {
+			t.Fatalf("%v: restored machine violates invariants: %v", e, err)
+		}
+		recA := trace.New(0)
+		m.Cfg.Trace = recA
+		m.Run(5000)
+		m2.Run(5000)
+		if a, b := traceCSV(t, recA), traceCSV(t, recB); a != b {
+			t.Errorf("%v: post-restore trace differs: %s", e, firstTraceDiff(a, b))
+		}
 	}
 }

@@ -117,13 +117,13 @@ func (m *Machine) step(limitMS int64) int64 {
 		}
 	}
 
-	// 2. Dispatch idle CPUs (parked CPUs provably have empty queues:
-	// any enqueue un-parks the target first).
-	for _, c32 := range m.stepCPUs() {
+	// 2. Dispatch idle CPUs. Only a CPU with a non-empty runqueue has
+	// anything to dispatch, so the event-driven engines walk the busy
+	// set (parked CPUs are never in it: any enqueue un-parks the target
+	// first); lockstep scans every CPU.
+	busy := m.busyCPUs()
+	for _, c32 := range busy {
 		c := int(c32)
-		if m.cpuParked(c) {
-			continue
-		}
 		rq := m.Sched.RQ(topology.CPUID(c))
 		if rq.Current == nil {
 			if t := rq.PickNext(); t != nil {
@@ -170,14 +170,18 @@ func (m *Machine) step(limitMS int64) int64 {
 	// warmup, and DVFS speed factors. Under the default policy the
 	// trace edges are deferred to haltEdgePass; the §2.3
 	// task-throttling policy rotates runqueues and interleaves trace
-	// events per CPU in one loop.
+	// events per CPU in one loop. Only an occupied CPU gets a non-zero
+	// speed, and every idle CPU's speed is already 0 (the step zeroes a
+	// CPU's speed when its queue empties, see below), so the default
+	// policy's passes walk the busy set; nothing above changed its
+	// membership since dispatch.
 	if m.Cfg.TaskThrottling {
 		m.resolveHaltsTaskThrottling(throttledStep)
 		m.smtScaleOn(m.stepCPUs())
 	} else {
-		m.haltDecideOn(m.stepCPUs(), throttledStep)
-		m.smtScaleOn(m.stepCPUs())
-		m.haltEdgePass(throttledStep)
+		m.haltDecideOn(busy, throttledStep)
+		m.smtScaleOn(busy)
+		m.haltEdgePass(busy, throttledStep)
 	}
 
 	// 5. Fix the quantum: the largest dt over which every decision made
@@ -371,6 +375,20 @@ func (m *Machine) step(limitMS int64) int64 {
 		}
 	}
 
+	// A CPU whose queue emptied during the quantum drops its execution
+	// speed here, after the last phase that may read it (the governor's
+	// InstPowerW). Between steps execSpeed is therefore non-zero only on
+	// busy CPUs — what lets phase 3 walk the busy set alone. The wheel
+	// lists the CPUs that emptied, so a step in which no queue empties
+	// pays nothing.
+	if m.eventDriven {
+		for _, c := range m.wheel.TakeEmptied() {
+			if m.Sched.RQs[c].Idle() {
+				m.execSpeed[c] = 0
+			}
+		}
+	}
+
 	// Advance the clock past the quantum.
 	m.nowMS++
 	if m.async {
@@ -451,16 +469,13 @@ func (m *Machine) throttledCPUs() []bool {
 }
 
 // haltDecideOn resolves the phase-3 halt decision for the given CPUs
-// under the default (CPU-level) throttling policy: an occupied,
-// un-parked CPU runs at speed 1 unless its throttle group engaged.
-// Trace edges and prevHalt updates are deferred to haltEdgePass, so the
-// loop body is CPU-local.
+// (the busy set, or every CPU on lockstep) under the default
+// (CPU-level) throttling policy: an occupied CPU runs at speed 1 unless
+// its throttle group engaged. Trace edges and prevHalt updates are
+// deferred to haltEdgePass, so the loop body is CPU-local.
 func (m *Machine) haltDecideOn(cpus []int32, throttledStep []bool) {
 	for _, c32 := range cpus {
 		c := int(c32)
-		if m.cpuParked(c) {
-			continue // execSpeed stays 0; no runnable task, no trace edge
-		}
 		m.execSpeed[c] = 0
 		if m.Sched.RQ(topology.CPUID(c)).Current == nil {
 			continue
@@ -570,14 +585,14 @@ func (m *Machine) smtScaleOn(cpus []int32) {
 
 // haltEdgePass emits the throttle-edge trace events and updates
 // prevHalt in canonical ascending-CPU order once the halt decisions
-// have all resolved. It visits exactly the CPUs the
-// decision loop reached — occupied and un-parked — and under the
-// default policy the decision never rewrites throttledStep, so reading
-// it here sees the engage pass's values unchanged.
-func (m *Machine) haltEdgePass(throttledStep []bool) {
-	for _, c32 := range m.stepCPUs() {
+// have all resolved. It visits the occupied CPUs of the list the
+// decision loop walked, and under the default policy the decision
+// never rewrites throttledStep, so reading it here sees the engage
+// pass's values unchanged.
+func (m *Machine) haltEdgePass(cpus []int32, throttledStep []bool) {
+	for _, c32 := range cpus {
 		c := int(c32)
-		if m.cpuParked(c) || m.Sched.RQ(topology.CPUID(c)).Current == nil {
+		if m.Sched.RQ(topology.CPUID(c)).Current == nil {
 			continue
 		}
 		halt := throttledStep[c]
@@ -717,7 +732,11 @@ func (m *Machine) execCPU(c int, throttledStep []bool, dt int64, fdt, quantW flo
 // thermalOn runs the phase-7 thermal integration over the given cores
 // and returns their peak end-of-quantum temperature (−Inf when the
 // list is empty). Everything it reads is package-local: a core's
-// coupled effective power sums its chip neighbours' raw powers.
+// coupled effective power sums its chip neighbours' raw powers. The
+// retention factor e^(−dt/RC) depends only on the node's time
+// constant, so it is recomputed only when that changes from one core to
+// the next: once per quantum on a machine whose cores share one RC.
+// StepDecay with it is bit-identical to each node's own Step.
 func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
 	threads := m.Cfg.Layout.ThreadsPerPackage
 	for _, core32 := range cores {
@@ -731,11 +750,16 @@ func (m *Machine) thermalOn(cores []int32, dt int64, fdt float64) float64 {
 		m.coreStartTemp[core] = m.nodes[core].TempC
 	}
 	peak := math.Inf(-1)
+	tau, decay := math.NaN(), 0.0
 	for _, core32 := range cores {
 		core := int(core32)
 		eff := m.coupledEffPower(m.corePower, core)
 		m.coreEff[core] = eff
-		m.nodes[core].StepExact(eff, fdt)
+		props := &m.nodes[core].Props
+		if tc := props.TimeConstant(); tc != tau {
+			tau, decay = tc, props.Decay(fdt)
+		}
+		m.nodes[core].StepDecay(eff, decay)
 		// Within a constant-power quantum the RC response is monotone,
 		// so checking the endpoint captures the quantum's extremum.
 		if m.nodes[core].TempC > peak {

@@ -341,22 +341,27 @@ type Machine struct {
 	// diagnostics for the deadline scheduler, not simulation state.
 	deadlineFires [4]int64
 
-	// Per-step iteration sets. Every per-CPU and per-core phase of the
-	// shared step — dispatch, throttle decisions, execution-speed
-	// resolution, the execution/energy sweep, thermal integration, and
-	// counter accounting — walks these instead of ranging 0..n and
-	// skipping: for the lockstep and batched engines they are the
-	// identity lists (built once), preserving the historical full scan;
-	// the async engine maintains stepList as the CPUs in the per-step
-	// path (un-parked, plus parked members of live throttle groups,
-	// ascending) and stepCores as the cores of un-parked packages. Both
-	// are backed by membership bitmaps (liveCPUBits, liveCoreBits)
-	// mutated in O(1) on every parking-state change and materialized
-	// into the slices lazily in O(popcount), so wake/park churn on a
-	// mostly-idle 1024-CPU machine never pays an O(nCPU) rebuild.
+	// Per-step iteration sets. The per-CPU and per-core phases of the
+	// shared step that must see every live CPU — P-state application,
+	// throttle decisions, the execution/energy sweep, thermal
+	// integration, and counter accounting — walk these instead of
+	// ranging 0..n and skipping: for the lockstep and batched engines
+	// they are the identity lists (built once), preserving the
+	// historical full scan; the async engine maintains stepList as the
+	// CPUs in the per-step path (un-parked, plus parked members of live
+	// throttle groups, ascending) and stepCores as the cores of
+	// un-parked packages. Both are backed by membership bitmaps
+	// (liveCPUBits, liveCoreBits) mutated in O(1) on every
+	// parking-state change and materialized into the slices lazily in
+	// O(popcount), so wake/park churn on a mostly-idle 1024-CPU machine
+	// never pays an O(nCPU) rebuild.
 	// During the execution sweep the list is a frozen snapshot:
 	// activations are deferred behind the cursor (see activateCPU and
-	// pendingActs), never mutating a list mid-iteration.
+	// pendingActs), never mutating a list mid-iteration. The phases that
+	// only concern occupied CPUs (dispatch, halt decision, speed
+	// resolution, halt edges, running-task horizons) walk the narrower
+	// busy set instead (busyCPUs: the deadline wheel's non-empty
+	// runqueues on the event-driven engines, every CPU on lockstep).
 	allCPUs        []int32
 	allCores       []int32
 	coreOfCPU      []int32 // CPU → physical core, flat (Layout.Core cached)

@@ -333,6 +333,25 @@ func (m *Machine) CheckInvariants() error {
 		if got := m.wheel.IdleCPUCount(); got != idle {
 			return fmt.Errorf("idle counter drifted: %d vs scan %d", got, idle)
 		}
+		// The busy set the occupancy phases walk, and the zero speed
+		// of every idle CPU that lets them skip the rest.
+		busy := m.wheel.BusyCPUs()
+		i := 0
+		for c, rq := range m.Sched.RQs {
+			if rq.Idle() {
+				if m.execSpeed[c] != 0 {
+					return fmt.Errorf("idle cpu %d has execution speed %v", c, m.execSpeed[c])
+				}
+				continue
+			}
+			if i >= len(busy) || busy[i] != int32(c) {
+				return fmt.Errorf("busy set %v differs from the occupied cpus at cpu %d", busy, c)
+			}
+			i++
+		}
+		if i != len(busy) {
+			return fmt.Errorf("busy set %v lists %d cpus, %d are occupied", busy, len(busy), i)
+		}
 	}
 
 	if m.async {

@@ -46,6 +46,8 @@ package sched
 // the event-driven queries are used; the modulo Due/Next methods keep
 // working unattached and remain the lockstep engine's reference path.
 
+import "math/bits"
+
 // maxResidueTableMS bounds the period for which per-residue tables are
 // precomputed. Classes with longer periods (far beyond any sane policy
 // config) fall back to O(nCPU) scans, which at such periods are
@@ -175,14 +177,18 @@ func (w *Wheel) attach(s *Scheduler) {
 		w.hotEligible[c] = hotOn && s.Power[c] != nil && s.Power[c].MaxPower > 0
 	}
 	w.prevQueued = make([]int32, n)
-	w.isIdle = make([]bool, n)
+	w.busyBits = make([]uint64, (n+63)/64)
+	w.busyList = make([]int32, 0, n)
+	w.busyDirty = true
+	w.emptied = w.emptied[:0]
 	w.queued, w.idleCPUs = 0, 0
 	for c, rq := range s.RQs {
 		w.prevQueued[c] = int32(len(rq.Queued()))
 		w.queued += len(rq.Queued())
 		if rq.Idle() {
-			w.isIdle[c] = true
 			w.idleCPUs++
+		} else {
+			w.busyBits[c>>6] |= 1 << (uint(c) & 63)
 		}
 		w.refreshArming(c, rq)
 	}
@@ -201,16 +207,54 @@ func (w *Wheel) rqChanged(rq *Runqueue) {
 	q := int32(len(rq.queue))
 	w.queued += int(q - w.prevQueued[c])
 	w.prevQueued[c] = q
-	idle := rq.Len() == 0
-	if idle != w.isIdle[c] {
-		w.isIdle[c] = idle
-		if idle {
-			w.idleCPUs++
-		} else {
+	word, bit := c>>6, uint64(1)<<(uint(c)&63)
+	if busy := rq.Len() > 0; busy != (w.busyBits[word]&bit != 0) {
+		w.busyBits[word] ^= bit
+		w.busyDirty = true
+		if busy {
 			w.idleCPUs--
+		} else {
+			w.idleCPUs++
+			w.emptied = append(w.emptied, int32(c))
 		}
 	}
 	w.refreshArming(c, rq)
+}
+
+// BusyCPUs returns, ascending, the CPUs whose runqueue is non-empty.
+// The list is materialized from the busy bitmap only after membership
+// changed, in O(busy + nCPU/64), and stays valid until the next call
+// that follows a membership change: a caller must not hold it across
+// runqueue mutations that may empty or fill a queue.
+func (w *Wheel) BusyCPUs() []int32 {
+	if w.busyDirty {
+		w.busyList = AppendSetBits(w.busyList[:0], w.busyBits)
+		w.busyDirty = false
+	}
+	return w.busyList
+}
+
+// TakeEmptied returns the CPUs whose runqueue emptied since the last
+// call, in the order they emptied (a CPU may repeat, and may have been
+// refilled since), and starts a new list. The returned slice is reused
+// by the next runqueue mutation that empties a queue.
+func (w *Wheel) TakeEmptied() []int32 {
+	e := w.emptied
+	w.emptied = w.emptied[:0]
+	return e
+}
+
+// AppendSetBits appends the indices of the set bits of a membership
+// bitmap to dst, ascending.
+func AppendSetBits(dst []int32, words []uint64) []int32 {
+	for w, word := range words {
+		base := int32(w << 6)
+		for word != 0 {
+			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // refreshArming arms or disarms CPU c's hot-check and governor

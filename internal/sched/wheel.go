@@ -60,9 +60,17 @@ type Wheel struct {
 	hotEligible  []bool
 	// Machine-wide gate counters, maintained by rqChanged.
 	prevQueued []int32
-	isIdle     []bool
 	queued     int
 	idleCPUs   int
+	// busyBits holds one bit per CPU with a non-empty runqueue, kept by
+	// rqChanged; busyList is its ascending materialization, rebuilt by
+	// BusyCPUs only after membership changed (busyDirty).
+	busyBits  []uint64
+	busyList  []int32
+	busyDirty bool
+	// emptied lists the CPUs whose runqueue emptied since the last
+	// TakeEmptied, in the order they emptied.
+	emptied []int32
 	// Stats counts the deadline scheduler's event traffic.
 	Stats DeadlineStats
 }

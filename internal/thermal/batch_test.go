@@ -106,3 +106,39 @@ func TestDecayPerMS(t *testing.T) {
 		t.Errorf("DecayPerMS = %v, want %v", d, want)
 	}
 }
+
+// TestStepDecayMatchesStep: stepping with a shared retention factor
+// (Properties.Decay computed once, then StepDecay per node) is
+// bit-identical to Node.Step, whose per-node cache serves the async
+// settles and unit hotspots. The dt sequence repeats and alternates
+// lengths so both a cache hit and a cache refill follow every kind of
+// step, and DecayPerMS and ThermalPowerWeight evaluate the same
+// exponential.
+func TestStepDecayMatchesStep(t *testing.T) {
+	propsGrid := []Properties{
+		{R: 0.2, C: 75, AmbientC: 25},
+		{R: 0.8, C: 18.75, AmbientC: 25}, // a quarter-package core: same τ
+		{R: 0.35, C: 40, AmbientC: 22},
+		{R: 3, C: 0.001, AmbientC: 30}, // unit-hotspot scale, τ = 3 ms
+		{R: 1e-3, C: 1e6, AmbientC: 0},
+	}
+	dts := []float64{1, 1, 7, 1, 7, 7, 250, 3, 250, 3, 1, 1e5, 1e5, 42, 1, 42}
+	powers := []float64{13.6, 61, 0, 95.5, 30}
+	for _, p := range propsGrid {
+		ref, shared := NewNode(p), NewNode(p)
+		for i, dt := range dts {
+			pw := powers[i%len(powers)]
+			ref.Step(pw, dt)
+			shared.StepDecay(pw, p.Decay(dt))
+			if math.Float64bits(ref.TempC) != math.Float64bits(shared.TempC) {
+				t.Fatalf("%+v step %d (dt=%v): Step %v, StepDecay %v", p, i, dt, ref.TempC, shared.TempC)
+			}
+		}
+		if got, want := p.DecayPerMS(), math.Exp(-0.001/p.TimeConstant()); got != want {
+			t.Errorf("%+v: DecayPerMS %v, want %v", p, got, want)
+		}
+		if got, want := ThermalPowerWeight(p, 10), 1-math.Exp(-10.0/1000/p.TimeConstant()); got != want {
+			t.Errorf("%+v: ThermalPowerWeight %v, want %v", p, got, want)
+		}
+	}
+}

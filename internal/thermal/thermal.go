@@ -69,9 +69,13 @@ type Node struct {
 	Props Properties
 	// TempC is the current junction temperature in °C.
 	TempC float64
-	// lastDT/lastDecay cache the step exponential: the engines step a
-	// node with long runs of identical quantum lengths, and the exp
-	// dominates the update cost on large topologies.
+	// lastDT/lastDecay cache the step exponential for the callers that
+	// step nodes one at a time: the async engine's settles of parked
+	// packages (identical gaps recur) and the unit hotspots' 1 ms steps.
+	// The machine's thermal phase shares one factor across the cores
+	// of a time constant instead (Properties.Decay, StepDecay): its
+	// quantum lengths change from step to step, so a per-node cache
+	// would miss on every core.
 	lastDT    float64
 	lastDecay float64
 }
@@ -92,15 +96,30 @@ func NewNode(p Properties) *Node {
 //
 //	T(t+dt) = T_steady + (T(t) − T_steady)·e^(−dt/RC)
 func (n *Node) Step(power, dtMS float64) {
-	steady := n.Props.SteadyTemp(power)
-	n.TempC = steady + (n.TempC-steady)*n.decayFor(dtMS)
+	n.StepDecay(power, n.decayFor(dtMS))
 }
 
-// decayFor returns e^(−dt/RC), cached for repeated dt.
+// StepDecay is Step with the retention factor supplied by the caller:
+// decay must be Props.Decay(dtMS), which makes the result bit-identical
+// to Step(power, dtMS). Nodes that share a time constant step with one
+// factor computed once per quantum.
+func (n *Node) StepDecay(power, decay float64) {
+	steady := n.Props.SteadyTemp(power)
+	n.TempC = steady + (n.TempC-steady)*decay
+}
+
+// Decay returns the temperature retention factor e^(−dt/RC) over dtMS
+// milliseconds — the one exponential every step form of the model
+// evaluates.
+func (p Properties) Decay(dtMS float64) float64 {
+	return math.Exp(-dtMS / 1000 / p.TimeConstant())
+}
+
+// decayFor returns Props.Decay(dtMS), cached for repeated dt.
 func (n *Node) decayFor(dtMS float64) float64 {
 	if dtMS != n.lastDT {
 		n.lastDT = dtMS
-		n.lastDecay = math.Exp(-dtMS / 1000 / n.Props.TimeConstant())
+		n.lastDecay = n.Props.Decay(dtMS)
 	}
 	return n.lastDecay
 }
@@ -117,9 +136,7 @@ func (n *Node) StepExact(power, dtMS float64) { n.Step(power, dtMS) }
 // DecayPerMS returns the node's per-millisecond temperature retention
 // factor e^(−1ms/RC) — the geometric ratio of its discrete 1 ms
 // relaxation sequence, used by the batched engine's closed forms.
-func (p Properties) DecayPerMS() float64 {
-	return math.Exp(-0.001 / p.TimeConstant())
-}
+func (p Properties) DecayPerMS() float64 { return p.Decay(1) }
 
 // Diode models the on-chip thermal diode: quantized output and a slow
 // read (the paper cites several milliseconds via the system management
@@ -157,7 +174,7 @@ func (d Diode) Quantize(tempC float64) float64 {
 // when updated every updateMS milliseconds (§4.3: "we calibrate it to
 // the exponential function of our thermal model").
 func ThermalPowerWeight(props Properties, updateMS float64) float64 {
-	return 1 - math.Exp(-updateMS/1000/props.TimeConstant())
+	return 1 - props.Decay(updateMS)
 }
 
 // Throttle is the per-logical-CPU duty-cycle throttling mechanism: while
